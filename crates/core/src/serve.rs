@@ -689,9 +689,15 @@ pub fn serve_once(
     params: &SearchParams,
 ) -> Result<SearchOutput, ServeError> {
     assert!(!queries.is_empty(), "empty query batch");
+    // No timed flush: every query is submitted before any ticket is awaited,
+    // so the batch always fills `max_batch`. A flush after the default 2 ms
+    // could only split it when the submitting thread stalls, and a split
+    // changes answers, because each query's entry seed follows its position
+    // in its micro-batch.
     let config = ServeConfig {
         max_batch: queries.len(),
         queue_capacity: queries.len(),
+        flush_interval_ms: 3_600_000.0,
         params: *params,
         ..ServeConfig::default()
     };

@@ -60,19 +60,28 @@ pub fn select_neighbors(
     rng: &mut SmallRng,
 ) -> Vec<usize> {
     let mut out = Vec::with_capacity(degree);
-    let mut ranks = Vec::new();
+    let (mut counts, mut keys) = (Vec::new(), Vec::new());
     select_neighbors_into(
-        filter, degree, node_vec, query, dir_table, scratch, rng, &mut ranks, &mut out,
+        filter,
+        degree,
+        node_vec,
+        query,
+        dir_table,
+        scratch,
+        rng,
+        &mut counts,
+        &mut keys,
+        &mut out,
     );
     out
 }
 
 /// [`select_neighbors`] writing into caller-owned buffers.
 ///
-/// `ranks` is the DGS rank scratch (match count, row position) used by the
-/// [`NeighborFilter::Direction`] sort; `out` receives the selected row
-/// positions. Both are cleared first — the search kernel reuses them across
-/// all beam iterations so the selection path stays allocation-free.
+/// `counts` receives the row's per-neighbor matching bits and `keys` the
+/// [`NeighborFilter::Direction`] sort keys; `out` receives the selected row
+/// positions. All three are overwritten — the search kernel reuses them
+/// across all beam iterations so the selection path stays allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub fn select_neighbors_into(
     filter: NeighborFilter,
@@ -82,7 +91,8 @@ pub fn select_neighbors_into(
     dir_table: Option<(&DirectionTable, u32)>,
     scratch: &mut SignCodeBuf,
     rng: &mut SmallRng,
-    ranks: &mut Vec<(u32, usize)>,
+    counts: &mut Vec<u32>,
+    keys: &mut Vec<u64>,
     out: &mut Vec<usize>,
 ) {
     out.clear();
@@ -97,29 +107,24 @@ pub fn select_neighbors_into(
             // lint: allow(hot-panic) — caller contract: search_query only
             // selects this filter after checking ctx.dir_table is Some.
             let (table, u) = dir_table.expect("direction filter requires a direction table");
-            scratch.encode(node_vec, query);
-            let words = table.words_per_code();
-            let row = table.node_codes(u);
-            ranks.clear();
-            ranks.extend(
-                (0..degree).map(|j| (scratch.matches(&row[j * words..(j + 1) * words]), j)),
-            );
-            // Most matching bits first; stable index tie-break for
-            // determinism.
-            ranks.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            ranks.truncate(keep.clamp(1, degree));
-            out.extend(ranks.iter().map(|&(_, j)| j));
+            row_match_counts(table, u, degree, node_vec, query, scratch, counts);
+            // Most matching bits first, row position breaking ties: the key
+            // `!matches << 32 | j` orders exactly so and is unique per row
+            // position, so an unstable sort yields that one total order.
+            keys.clear();
+            keys.extend(counts.iter().enumerate().map(|(j, &m)| u64::from(!m) << 32 | j as u64));
+            keys.sort_unstable();
+            // The low half of a key is its row position, below `degree`.
+            #[allow(clippy::cast_possible_truncation)]
+            out.extend(keys.iter().take(keep.clamp(1, degree)).map(|&k| k as u32 as usize));
         }
         NeighborFilter::Threshold { min_matches } => {
             // lint: allow(hot-panic) — caller contract: search_query only
             // selects this filter after checking ctx.dir_table is Some.
             let (table, u) = dir_table.expect("threshold filter requires a direction table");
-            scratch.encode(node_vec, query);
-            let words = table.words_per_code();
-            let row = table.node_codes(u);
+            row_match_counts(table, u, degree, node_vec, query, scratch, counts);
             let mut best = (0u32, 0usize);
-            for j in 0..degree {
-                let m = scratch.matches(&row[j * words..(j + 1) * words]);
+            for (j, &m) in counts.iter().enumerate() {
                 if m >= min_matches {
                     out.push(j);
                 }
@@ -132,6 +137,24 @@ pub fn select_neighbors_into(
             }
         }
     }
+}
+
+/// Encodes the query direction seen from `node_vec` and counts, for each of
+/// `u`'s `degree` edges, how many direction bits match it.
+fn row_match_counts(
+    table: &DirectionTable,
+    u: u32,
+    degree: usize,
+    node_vec: &[f32],
+    query: &[f32],
+    scratch: &mut SignCodeBuf,
+    counts: &mut Vec<u32>,
+) {
+    scratch.encode(node_vec, query);
+    let row = table.node_codes(u);
+    counts.clear();
+    counts.resize(degree, 0);
+    scratch.row_matches(&row[..degree * table.words_per_code()], counts);
 }
 
 #[cfg(test)]

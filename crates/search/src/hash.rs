@@ -10,14 +10,15 @@
 /// Sentinel for an empty slot (node ids are < 2^32 − 1 in practice).
 const EMPTY: u32 = u32::MAX;
 
+/// Linear-probe window before forgetting.
+const WINDOW: usize = 8;
+
 /// A fixed-capacity forgettable visited set of `u32` ids.
 #[derive(Debug, Clone)]
 pub struct VisitedHash {
     slots: Vec<u32>,
     mask: usize,
     probes: u64,
-    /// Linear-probe window before forgetting.
-    window: usize,
 }
 
 impl VisitedHash {
@@ -29,7 +30,7 @@ impl VisitedHash {
     pub fn new(bits: u32) -> Self {
         assert!((4..=28).contains(&bits), "hash bits out of range");
         let n = 1usize << bits;
-        Self { slots: vec![EMPTY; n], mask: n - 1, probes: 0, window: 8 }
+        Self { slots: vec![EMPTY; n], mask: n - 1, probes: 0 }
     }
 
     /// Number of slots.
@@ -48,41 +49,46 @@ impl VisitedHash {
         (id.wrapping_mul(0x9E37_79B1) as usize) & self.mask
     }
 
+    /// Walks `id`'s probe window from `start`, tallies the slots probed, and
+    /// returns the first slot holding `id` or empty, if any.
+    ///
+    /// A window that fits before the table end is one checked sub-slice and
+    /// an unchecked scan; only the few windows that wrap index slot by slot.
+    /// The tally is added once per call, equal to one per slot probed.
+    #[inline]
+    fn probe(&mut self, id: u32, start: usize) -> Option<usize> {
+        let stop = |s: u32| s == id || s == EMPTY;
+        let hit = match self.slots.get(start..start + WINDOW) {
+            Some(window) => window.iter().position(|&s| stop(s)),
+            None => (0..WINDOW).position(|i| stop(self.slots[(start + i) & self.mask])),
+        };
+        self.probes += hit.map_or(WINDOW, |i| i + 1) as u64;
+        hit.map(|i| (start + i) & self.mask)
+    }
+
     /// Marks `id` visited. Returns `true` when the id was *not* already
     /// present (i.e. the caller should process it now).
     pub fn insert(&mut self, id: u32) -> bool {
         debug_assert_ne!(id, EMPTY, "sentinel id");
         let start = self.slot_of(id);
-        for i in 0..self.window {
-            self.probes += 1;
-            let s = (start + i) & self.mask;
-            if self.slots[s] == id {
-                return false;
-            }
-            if self.slots[s] == EMPTY {
+        match self.probe(id, start) {
+            Some(s) if self.slots[s] == id => false,
+            Some(s) => {
                 self.slots[s] = id;
-                return true;
+                true
+            }
+            None => {
+                // Window full: forget the slot at the window start.
+                self.slots[start] = id;
+                true
             }
         }
-        // Window full: forget the slot at the window start.
-        self.slots[start] = id;
-        true
     }
 
     /// Returns `true` if `id` is currently remembered as visited.
     pub fn contains(&mut self, id: u32) -> bool {
         let start = self.slot_of(id);
-        for i in 0..self.window {
-            self.probes += 1;
-            let s = (start + i) & self.mask;
-            if self.slots[s] == id {
-                return true;
-            }
-            if self.slots[s] == EMPTY {
-                return false;
-            }
-        }
-        false
+        self.probe(id, start).is_some_and(|s| self.slots[s] == id)
     }
 
     /// Clears the table (reused between queries).
@@ -146,6 +152,58 @@ mod tests {
         h.contains(1);
         assert!(h.take_probes() >= 2);
         assert_eq!(h.take_probes(), 0);
+    }
+
+    #[test]
+    fn matches_the_slot_by_slot_probe_model() {
+        // Reference: the per-probe loop (one tally per slot visited, every
+        // index wrapped by the mask). On a 16-slot table most windows wrap,
+        // and forgetting is constant; answers, contents and tallies must
+        // agree call by call.
+        struct Model {
+            slots: Vec<u32>,
+            probes: u64,
+        }
+        impl Model {
+            fn walk(&mut self, id: u32) -> Option<usize> {
+                let start = (id.wrapping_mul(0x9E37_79B1) as usize) & (self.slots.len() - 1);
+                for i in 0..WINDOW {
+                    self.probes += 1;
+                    let s = (start + i) & (self.slots.len() - 1);
+                    if self.slots[s] == id || self.slots[s] == EMPTY {
+                        return Some(s);
+                    }
+                }
+                None
+            }
+        }
+        let mut h = VisitedHash::new(4);
+        let mut m = Model { slots: vec![EMPTY; 16], probes: 0 };
+        let mut x = 0x1234_5678u32;
+        for step in 0..5_000 {
+            x = x.wrapping_mul(0x0019_660d).wrapping_add(0x3c6e_f35f);
+            let id = (x >> 8) % 64;
+            if step % 3 == 0 {
+                let want = m.walk(id).is_some_and(|s| m.slots[s] == id);
+                assert_eq!(h.contains(id), want, "contains {id} at step {step}");
+            } else {
+                let start = (id.wrapping_mul(0x9E37_79B1) as usize) & 15;
+                let want = match m.walk(id) {
+                    Some(s) if m.slots[s] == id => false,
+                    Some(s) => {
+                        m.slots[s] = id;
+                        true
+                    }
+                    None => {
+                        m.slots[start] = id;
+                        true
+                    }
+                };
+                assert_eq!(h.insert(id), want, "insert {id} at step {step}");
+            }
+            assert_eq!(h.slots, m.slots, "table contents at step {step}");
+            assert_eq!(h.probes, m.probes, "probe tally at step {step}");
+        }
     }
 
     #[test]

@@ -161,12 +161,14 @@ pub fn search_query(
     };
 
     // Scratch reused across all beam iterations (and the init phase): the
-    // expansion targets, the per-node selected row positions, the DGS rank
-    // buffer, and the candidate id/distance lists fed to the batched
-    // distance kernel. The hot loop performs no allocation after warm-up.
+    // expansion targets, the per-node selected row positions, the DGS match
+    // counts and sort keys, and the candidate id/distance lists fed to the
+    // batched distance kernel. The hot loop performs no allocation after
+    // warm-up.
     let mut targets: Vec<(f32, u32)> = Vec::with_capacity(params.expand);
     let mut selected: Vec<usize> = Vec::with_capacity(degree);
-    let mut ranks: Vec<(u32, usize)> = Vec::with_capacity(degree);
+    let mut match_counts: Vec<u32> = Vec::with_capacity(degree);
+    let mut rank_keys: Vec<u64> = Vec::with_capacity(degree);
     let mut cand_ids: Vec<u32> = Vec::with_capacity(params.expand * degree);
     let mut cand_dists: Vec<f32> = Vec::with_capacity(params.expand * degree);
 
@@ -256,7 +258,8 @@ pub fn search_query(
                     None,
                     &mut scratch,
                     &mut rng,
-                    &mut ranks,
+                    &mut match_counts,
+                    &mut rank_keys,
                     &mut selected,
                 ),
                 NeighborFilter::Random { keep } => {
@@ -269,7 +272,8 @@ pub fn search_query(
                         None,
                         &mut scratch,
                         &mut rng,
-                        &mut ranks,
+                        &mut match_counts,
+                        &mut rank_keys,
                         &mut selected,
                     );
                 }
@@ -296,7 +300,8 @@ pub fn search_query(
                         Some((table, u)),
                         &mut scratch,
                         &mut rng,
-                        &mut ranks,
+                        &mut match_counts,
+                        &mut rank_keys,
                         &mut selected,
                     );
                 }

@@ -5,22 +5,22 @@
 //! an `expanded` flag per entry; insertions charge `log2(l)` simulated sort
 //! steps (one bitonic merge depth) to the cost counters.
 
-/// One queue slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Slot {
-    /// Squared distance to the query.
-    pub dist: f32,
-    /// Node id.
-    pub id: u32,
-    /// Whether this node's adjacency has been expanded (step 4 of §2.2).
-    pub expanded: bool,
-}
-
 /// A bounded ascending-sorted buffer of the best `capacity` nodes seen.
+///
+/// Stored as parallel columns: the distances (binary-searched on insert),
+/// the ids (scanned whole for the duplicate check, a branch-free compare
+/// the compiler vectorizes) and the expanded flags.
 #[derive(Debug, Clone)]
 pub struct PriorityBuffer {
-    slots: Vec<Slot>,
+    /// Squared distances to the query, ascending.
+    dists: Vec<f32>,
+    /// Node ids, parallel to `dists`.
+    node_ids: Vec<u32>,
+    /// Whether each node's adjacency has been expanded (step 4 of §2.2).
+    expanded: Vec<bool>,
     capacity: usize,
+    /// Simulated bitonic sort steps charged per accepted insert.
+    steps_per_insert: u64,
     /// Simulated bitonic sort steps charged so far.
     sort_steps: u64,
 }
@@ -33,7 +33,18 @@ impl PriorityBuffer {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        Self { slots: Vec::with_capacity(capacity + 1), capacity, sort_steps: 0 }
+        // `ceil(log2(capacity))` of a queue capacity is tiny, so the
+        // f64-to-u64 cast cannot truncate.
+        #[allow(clippy::cast_possible_truncation)]
+        let steps_per_insert = (capacity.max(2) as f64).log2().ceil() as u64;
+        Self {
+            dists: Vec::with_capacity(capacity + 1),
+            node_ids: Vec::with_capacity(capacity + 1),
+            expanded: Vec::with_capacity(capacity + 1),
+            capacity,
+            steps_per_insert,
+            sort_steps: 0,
+        }
     }
 
     /// Capacity `l`.
@@ -43,12 +54,12 @@ impl PriorityBuffer {
 
     /// Current occupancy.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.node_ids.len()
     }
 
     /// Whether the buffer holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.node_ids.is_empty()
     }
 
     /// Simulated sort steps charged so far (drained into cost counters by
@@ -59,10 +70,10 @@ impl PriorityBuffer {
 
     /// Worst distance still kept, or `f32::INFINITY` while not full.
     pub fn threshold(&self) -> f32 {
-        if self.slots.len() < self.capacity {
+        if self.dists.len() < self.capacity {
             f32::INFINITY
         } else {
-            self.slots[self.capacity - 1].dist
+            self.dists[self.capacity - 1]
         }
     }
 
@@ -77,27 +88,30 @@ impl PriorityBuffer {
     /// Offers `(dist, id)`; returns the insertion rank (0 = new best) when
     /// the buffer changed, `None` otherwise.
     ///
-    /// The rank feeds the kernel's convergence check: the search has
-    /// converged when the *result window* (top-k) stops receiving new
-    /// entries, even while the beam tail keeps churning.
+    /// An id already held is rejected whatever its distance. The rank feeds
+    /// the kernel's convergence check: the search has converged when the
+    /// *result window* (top-k) stops receiving new entries, even while the
+    /// beam tail keeps churning.
     pub fn push_at(&mut self, dist: f32, id: u32) -> Option<usize> {
-        if self.slots.len() == self.capacity && dist >= self.slots[self.capacity - 1].dist {
+        if self.dists.len() == self.capacity && dist >= self.dists[self.capacity - 1] {
             // Rejected by the threshold: a single register compare on the
             // GPU, no merge network — charge nothing.
             return None;
         }
-        if self.slots.iter().any(|s| s.id == id) {
+        // A fold, not `any`: no early exit, so the whole column is one
+        // vectorized compare-and-or.
+        if self.node_ids.iter().fold(false, |held, &x| held | (x == id)) {
             return None;
         }
-        // `ceil(log2(capacity))` of a queue capacity is tiny, so the
-        // f64-to-u64 cast cannot truncate.
-        #[allow(clippy::cast_possible_truncation)]
-        let steps = (self.capacity.max(2) as f64).log2().ceil() as u64;
-        self.sort_steps += steps;
-        let pos = self.slots.partition_point(|s| s.dist <= dist);
-        self.slots.insert(pos, Slot { dist, id, expanded: false });
-        if self.slots.len() > self.capacity {
-            self.slots.pop();
+        self.sort_steps += self.steps_per_insert;
+        let pos = self.dists.partition_point(|&d| d <= dist);
+        self.dists.insert(pos, dist);
+        self.node_ids.insert(pos, id);
+        self.expanded.insert(pos, false);
+        if self.node_ids.len() > self.capacity {
+            self.dists.pop();
+            self.node_ids.pop();
+            self.expanded.pop();
         }
         Some(pos)
     }
@@ -115,25 +129,25 @@ impl PriorityBuffer {
     /// beam iterations to keep the hot loop allocation-free.
     pub fn pop_expansion_targets_into(&mut self, r: usize, out: &mut Vec<(f32, u32)>) {
         out.clear();
-        for s in self.slots.iter_mut() {
+        for (i, expanded) in self.expanded.iter_mut().enumerate() {
             if out.len() == r {
                 break;
             }
-            if !s.expanded {
-                s.expanded = true;
-                out.push((s.dist, s.id));
+            if !*expanded {
+                *expanded = true;
+                out.push((self.dists[i], self.node_ids[i]));
             }
         }
     }
 
     /// The current best `k` results, ascending.
     pub fn top_k(&self, k: usize) -> Vec<(f32, u32)> {
-        self.slots.iter().take(k).map(|s| (s.dist, s.id)).collect()
+        self.dists.iter().copied().zip(self.node_ids.iter().copied()).take(k).collect()
     }
 
     /// All ids currently held.
     pub fn ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots.iter().map(|s| s.id)
+        self.node_ids.iter().copied()
     }
 }
 
@@ -159,6 +173,20 @@ mod tests {
         assert!(q.push(1.0, 7));
         assert!(!q.push(2.0, 7));
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn duplicate_at_a_better_distance_is_rejected_too() {
+        // The id check does not depend on where the new distance would land:
+        // a better, an equal and a worse re-offer of a held id all fail.
+        let mut q = PriorityBuffer::new(4);
+        assert!(q.push(3.0, 9));
+        assert!(q.push(5.0, 2));
+        assert_eq!(q.push_at(0.5, 2), None);
+        assert_eq!(q.push_at(3.0, 9), None);
+        assert_eq!(q.push_at(4.0, 9), None);
+        assert_eq!(q.top_k(4), vec![(3.0, 9), (5.0, 2)]);
+        assert_eq!(q.take_sort_steps(), 4, "rejected offers charge no sort steps");
     }
 
     #[test]

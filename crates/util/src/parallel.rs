@@ -89,7 +89,8 @@ struct Job {
     abandoned: AtomicBool,
     /// First panic payload, re-thrown on the calling thread.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Completion signal: workers notify when `outstanding` hits zero.
+    /// Completion signal: workers decrement `outstanding` and notify under
+    /// this lock, and the caller reads it under this lock.
     done_lock: Mutex<()>,
     done_cv: Condvar,
 }
@@ -138,9 +139,14 @@ impl Job {
     }
 
     /// Returns one queue entry; the last return wakes the caller.
+    ///
+    /// The decrement and the wake-up both happen under `done_lock`. The
+    /// caller reads `outstanding` only while holding that lock, so it sees
+    /// zero — and may return and free this stack-held job — only after this
+    /// thread has released the lock and stopped touching the job.
     fn finish_entry(&self) {
+        let _guard = self.done_lock.lock();
         if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.done_lock.lock();
             self.done_cv.notify_all();
         }
     }
@@ -475,6 +481,33 @@ mod tests {
             }
             let s = hist.summary();
             assert!(s.max > 0, "pool workers never ran in {} dispatches: {s:?}", s.count);
+        });
+    }
+
+    #[test]
+    fn short_jobs_from_two_callers_complete() {
+        // Regression: a worker used to decrement `outstanding` before taking
+        // `done_lock`, so a caller could see zero, return and free its
+        // stack-held job while the worker still locked and notified it — a
+        // crash or a hang. Tiny jobs from two callers keep workers finishing
+        // exactly while their callers check for completion. Under Miri, which
+        // checks every access to the freed job, fewer calls suffice.
+        let calls = if cfg!(miri) { 200 } else { 10_000 };
+        with_threads(3, || {
+            std::thread::scope(|s| {
+                for caller in 0..2usize {
+                    s.spawn(move || {
+                        for call in 0..calls {
+                            let len = 2 + (call + caller) % 3;
+                            let sum = AtomicU64::new(0);
+                            parallel_for(len, |i| {
+                                sum.fetch_add(i as u64 + 1, Ordering::Relaxed);
+                            });
+                            assert_eq!(sum.load(Ordering::Relaxed), (len * (len + 1) / 2) as u64);
+                        }
+                    });
+                }
+            });
         });
     }
 

@@ -79,10 +79,17 @@ impl SignCodeBuf {
         &self.words
     }
 
-    /// Counts matching bits against another packed code of the same `dim`.
+    /// Counts matching bits against each of `out.len()` codes stored back to
+    /// back in `row` (a direction-table row), through the dispatched
+    /// [`crate::simd::Kernels::row_matches`]; `out[j]` equals
+    /// [`hamming_matches`] against the `j`-th code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len()` is not `out.len()` codes of this buffer's width.
     #[inline]
-    pub fn matches(&self, other: &[u32]) -> u32 {
-        hamming_matches(&self.words, other, self.dim)
+    pub fn row_matches(&self, row: &[u32], out: &mut [u32]) {
+        crate::simd::active_kernels().row_matches(&self.words, row, self.dim, out);
     }
 }
 
@@ -146,7 +153,9 @@ mod tests {
         let mut cb = vec![0u32; 1];
         sign_code(&node, &good, &mut cg);
         sign_code(&node, &bad, &mut cb);
-        assert!(cq.matches(&cg) > cq.matches(&cb));
+        let mut m = [0u32; 2];
+        cq.row_matches(&[cg[0], cb[0]], &mut m);
+        assert!(m[0] > m[1]);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! host-side throughput. This module provides explicit-SIMD implementations
 //! of the kernel primitives — squared-L2, inner product, the 4-row blocked
 //! squared-L2 used by the gather-distance kernels, sign-bit code
-//! construction, and the int8 code-space distance of the quantized traversal
-//! tier — selected once at startup from the CPU's capabilities:
+//! construction, the direction-code match counts of one adjacency row, and
+//! the int8 code-space distance of the quantized traversal tier — selected
+//! once at startup from the CPU's capabilities:
 //!
-//! - **AVX2 (+FMA detected)** and **SSE2** on `x86_64`,
+//! - **AVX2 (+FMA and POPCNT detected)** and **SSE2** on `x86_64`,
 //! - **NEON** on `aarch64`,
 //! - the 4-accumulator **scalar** loops everywhere else (and as the
 //!   universal fallback).
@@ -57,9 +58,9 @@ pub enum SimdLevel {
     Scalar,
     /// 128-bit SSE2 (baseline on every `x86_64`).
     Sse2,
-    /// 256-bit AVX2; requires FMA to be present as well (the detection gate
-    /// matches real deployments), although fused ops are never emitted — see
-    /// the module docs on bitwise identity.
+    /// 256-bit AVX2; requires FMA and POPCNT to be present as well (the
+    /// detection gate matches real deployments), although fused ops are
+    /// never emitted — see the module docs on bitwise identity.
     Avx2,
     /// 128-bit NEON (baseline on every `aarch64`).
     Neon,
@@ -107,6 +108,7 @@ impl SimdLevel {
             SimdLevel::Avx2 => {
                 std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
+                    && std::arch::is_x86_feature_detected!("popcnt")
             }
             #[cfg(target_arch = "aarch64")]
             SimdLevel::Neon => true,
@@ -153,6 +155,7 @@ pub struct Kernels {
     dot: fn(&[f32], &[f32]) -> f32,
     l2_squared_x4: fn([&[f32]; 4], &[f32]) -> [f32; 4],
     sign_code: fn(&[f32], &[f32], &mut [u32]),
+    row_matches: fn(&[u32], &[u32], u32, &mut [u32]),
     code_l2_squared: fn(&[i8], &[i8]) -> u32,
 }
 
@@ -216,6 +219,30 @@ impl Kernels {
         let words = crate::signbit::sign_code_words(from.len());
         assert!(out.len() >= words, "sign code buffer too small");
         (self.sign_code)(from, to, out);
+    }
+
+    /// Matching direction bits between one query code and each of a node's
+    /// `out.len()` edge codes: `row` holds the codes back to back
+    /// (`out.len() × words` packed words, the layout of a direction-table
+    /// row), and `out[j]` receives
+    /// [`crate::signbit::hamming_matches`]`(query, row[j·words..(j+1)·words], dim)`.
+    ///
+    /// This is direction-guided selection's per-expansion ranking pass, one
+    /// XOR + popcount per word. Counts are integers, so every dispatch level
+    /// returns the identical values by construction; the `simd_identity`
+    /// property tests pin it anyway.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query.len()` is not [`crate::signbit::sign_code_words`]`(dim)`,
+    /// if `row.len() != out.len() * query.len()`, or if `dim` exceeds `u32`.
+    #[inline]
+    pub fn row_matches(&self, query: &[u32], row: &[u32], dim: usize, out: &mut [u32]) {
+        let words = crate::signbit::sign_code_words(dim);
+        assert_eq!(query.len(), words, "row_matches query code must span dim bits");
+        assert_eq!(row.len(), out.len() * words, "row_matches row must hold out.len() codes");
+        let dim = u32::try_from(dim).expect("dimension fits in u32");
+        (self.row_matches)(query, row, dim, out);
     }
 
     /// Integer code-space squared distance between two equal-length `i8`
@@ -447,6 +474,7 @@ static SCALAR_KERNELS: Kernels = Kernels {
     dot: scalar::dot,
     l2_squared_x4: scalar::l2_squared_x4,
     sign_code: scalar::sign_code,
+    row_matches: scalar::row_matches,
     code_l2_squared: scalar::code_l2_squared,
 };
 
@@ -559,6 +587,40 @@ pub(crate) mod scalar {
         s0 + s1 + s2 + s3 + tail
     }
 
+    /// Per-edge matching bits of one direction-table row against a query
+    /// code: `dim − popcount(query XOR code)` per `query.len()`-word code.
+    ///
+    /// Inlined into the AVX2 entry, where the `popcnt` feature turns
+    /// `count_ones` into one instruction; here, on the `x86_64` baseline,
+    /// it stays a bit-twiddling sequence.
+    #[inline(always)]
+    pub(crate) fn row_matches(query: &[u32], row: &[u32], dim: u32, out: &mut [u32]) {
+        // The arms for one to four words (up to 128 dimensions) are the same
+        // call on purpose: inside each, the code width is a constant, so the
+        // compiler unrolls the per-code loop for it (about 2.5x faster at
+        // three words than the one loop for every width).
+        match query.len() {
+            // dim 0: no bits, no matches (and no chunks to split `row` into).
+            0 => out.fill(dim),
+            1 => row_matches_words(query, row, dim, out),
+            2 => row_matches_words(query, row, dim, out),
+            3 => row_matches_words(query, row, dim, out),
+            4 => row_matches_words(query, row, dim, out),
+            _ => row_matches_words(query, row, dim, out),
+        }
+    }
+
+    #[inline(always)]
+    fn row_matches_words(query: &[u32], row: &[u32], dim: u32, out: &mut [u32]) {
+        for (code, o) in row.chunks_exact(query.len()).zip(out) {
+            let mut mismatches = 0u32;
+            for (x, y) in query.iter().zip(code) {
+                mismatches += (x ^ y).count_ones();
+            }
+            *o = dim - mismatches;
+        }
+    }
+
     /// Packed sign bits of `to - from`: bit `d` set iff `to[d] > from[d]`.
     pub(crate) fn sign_code(from: &[f32], to: &[f32], out: &mut [u32]) {
         let words = crate::signbit::sign_code_words(from.len());
@@ -582,6 +644,8 @@ static SSE2_KERNELS: Kernels = Kernels {
     dot: x86::dot_sse2_entry,
     l2_squared_x4: x86::l2_squared_x4_sse2_entry,
     sign_code: x86::sign_code_sse2_entry,
+    // SSE2 has no popcount; the scalar loop is the SSE2 kernel.
+    row_matches: scalar::row_matches,
     code_l2_squared: x86::code_l2_squared_sse2_entry,
 };
 
@@ -592,6 +656,7 @@ static AVX2_KERNELS: Kernels = Kernels {
     dot: x86::dot_avx2_entry,
     l2_squared_x4: x86::l2_squared_x4_avx2_entry,
     sign_code: x86::sign_code_avx2_entry,
+    row_matches: x86::row_matches_avx2_entry,
     code_l2_squared: x86::code_l2_squared_avx2_entry,
 };
 
@@ -628,7 +693,7 @@ mod x86 {
     }
     pub(super) fn l2_squared_avx2_entry(a: &[f32], b: &[f32]) -> f32 {
         // SAFETY: the AVX2 table is only installed by `kernels_for` after
-        // `is_x86_feature_detected!("avx2") && ("fma")` reported support, so
+        // `is_x86_feature_detected!` reported avx2, fma and popcnt, so
         // the required features are present whenever this entry is reachable.
         unsafe { l2_squared_avx2(a, b) }
     }
@@ -646,6 +711,11 @@ mod x86 {
         // SAFETY: reachable only through the AVX2 table, which `kernels_for`
         // installs exclusively after runtime detection of avx2+fma.
         unsafe { sign_code_avx2(f, t, out) }
+    }
+    pub(super) fn row_matches_avx2_entry(q: &[u32], row: &[u32], dim: u32, out: &mut [u32]) {
+        // SAFETY: reachable only through the AVX2 table, which `kernels_for`
+        // installs exclusively after runtime detection of avx2+fma+popcnt.
+        unsafe { row_matches_avx2(q, row, dim, out) }
     }
     pub(super) fn code_l2_squared_sse2_entry(a: &[i8], b: &[i8]) -> u32 {
         // SAFETY: SSE2 is part of the x86_64 baseline ABI.
@@ -855,6 +925,14 @@ mod x86 {
         reduce4_i32(folded, tail)
     }
 
+    /// The scalar row-match loop compiled with `popcnt` enabled, so each
+    /// word's `count_ones` is one instruction instead of the baseline
+    /// bit-twiddling sequence. Integer counts: identical to scalar.
+    #[target_feature(enable = "avx2", enable = "fma", enable = "popcnt")]
+    fn row_matches_avx2(query: &[u32], row: &[u32], dim: u32, out: &mut [u32]) {
+        super::scalar::row_matches(query, row, dim, out);
+    }
+
     // AVX2 processes two dimension chunks per iteration (one 256-bit lane
     // pair), folding the two 128-bit halves into the accumulator in chunk
     // order — the same sequence the scalar loop would execute.
@@ -1013,6 +1091,7 @@ static NEON_KERNELS: Kernels = Kernels {
     dot: neon::dot_neon_entry,
     l2_squared_x4: neon::l2_squared_x4_neon_entry,
     sign_code: neon::sign_code_neon_entry,
+    row_matches: neon::row_matches_neon_entry,
     code_l2_squared: neon::code_l2_squared_neon_entry,
 };
 
@@ -1047,6 +1126,10 @@ mod neon {
     pub(super) fn code_l2_squared_neon_entry(a: &[i8], b: &[i8]) -> u32 {
         // SAFETY: NEON is part of the aarch64 baseline ABI.
         unsafe { code_l2_squared_neon(a, b) }
+    }
+    pub(super) fn row_matches_neon_entry(q: &[u32], row: &[u32], dim: u32, out: &mut [u32]) {
+        // SAFETY: NEON is part of the aarch64 baseline ABI.
+        unsafe { row_matches_neon(q, row, dim, out) }
     }
 
     /// Sums the four lanes of `v` plus `tail` in scalar program order.
@@ -1164,6 +1247,36 @@ mod neon {
         // The lanes are non-negative partial sums; the dispatch wrapper
         // bounds the length so the u32 total cannot wrap.
         vaddvq_s32(acc) as u32 + tail
+    }
+
+    /// Direction-row match counts: four code words per iteration, XORed and
+    /// counted per byte with `vcnt`, the sixteen byte counts (at most 128)
+    /// summed with `vaddv`; leftover words use `count_ones`. Integer counts:
+    /// identical to scalar.
+    #[target_feature(enable = "neon")]
+    fn row_matches_neon(query: &[u32], row: &[u32], dim: u32, out: &mut [u32]) {
+        let words = query.len();
+        if words == 0 {
+            out.fill(dim);
+            return;
+        }
+        let quads = words / 4;
+        let qp = query.as_ptr();
+        for (code, o) in row.chunks_exact(words).zip(out) {
+            let cp = code.as_ptr();
+            let mut mismatches = 0u32;
+            for i in 0..quads {
+                // SAFETY: `i < quads = words / 4` keeps both 4-word loads
+                // inside `query` and `code`, which are `words` long.
+                let (q, c) = unsafe { (vld1q_u32(qp.add(i * 4)), vld1q_u32(cp.add(i * 4))) };
+                let bytes = vcntq_u8(vreinterpretq_u8_u32(veorq_u32(q, c)));
+                mismatches += u32::from(vaddvq_u8(bytes));
+            }
+            for (x, y) in query[quads * 4..].iter().zip(&code[quads * 4..]) {
+                mismatches += (x ^ y).count_ones();
+            }
+            *o = dim - mismatches;
+        }
     }
 
     #[target_feature(enable = "neon")]

@@ -7,7 +7,8 @@
 //! primes), on unaligned subslices, and on padded-aligned storage.
 
 use pathweaver_vector::{
-    batch_l2_squared, kernels_for, l2_squared, sign_code_words, QuantizedSet, SimdLevel, VectorSet,
+    batch_l2_squared, hamming_matches, kernels_for, l2_squared, sign_code_words, QuantizedSet,
+    SimdLevel, VectorSet,
 };
 use proptest::prelude::*;
 
@@ -170,7 +171,67 @@ fn code_distance_unaligned_subslices_identical() {
     }
 }
 
+/// `codes` pseudo-random packed codes of `dim` bits each, back to back; the
+/// padding bits of each code's last word are zero, as `sign_code` leaves them.
+fn deterministic_sign_codes(dim: usize, codes: usize, salt: u32) -> Vec<u32> {
+    let words = sign_code_words(dim);
+    let mut state = 0x2545_f491_u32 ^ salt;
+    (0..codes * words)
+        .map(|i| {
+            state = state.wrapping_mul(0x85eb_ca6b).wrapping_add(0xc2b2_ae35);
+            let valid = (dim - (i % words) * 32).min(32);
+            if valid == 32 {
+                state
+            } else {
+                state & ((1u32 << valid) - 1)
+            }
+        })
+        .collect()
+}
+
+/// Checks every level's `row_matches` against per-code scalar
+/// `hamming_matches` on one direction-table row of `degree` codes, read from
+/// `offset` words into its buffer so the kernels see every word alignment.
+/// Code 0 is the query itself (all bits match); the rest are arbitrary.
+fn check_row_matches(dim: usize, degree: usize, offset: usize, seed: u32) {
+    let words = sign_code_words(dim);
+    let query = deterministic_sign_codes(dim, 1, seed);
+    let mut buf = vec![0u32; offset];
+    buf.extend(deterministic_sign_codes(dim, degree, seed ^ 0x9e37));
+    buf[offset..offset + words].copy_from_slice(&query);
+    let row = &buf[offset..];
+    let want: Vec<u32> = row.chunks_exact(words).map(|c| hamming_matches(&query, c, dim)).collect();
+    assert_eq!(want[0], u32::try_from(dim).unwrap());
+    for level in SimdLevel::available() {
+        let k = kernels_for(level).unwrap();
+        let mut got = vec![u32::MAX; degree];
+        k.row_matches(&query, row, dim, &mut got);
+        assert_eq!(got, want, "{} dim={dim} degree={degree} offset={offset}", level.name());
+    }
+}
+
+#[test]
+fn row_matches_identical_on_every_dim_and_degree() {
+    for dim in 1..=960usize {
+        check_row_matches(dim, dim % 64 + 1, dim % 4, u32::try_from(dim).unwrap());
+    }
+    for degree in 1..=64usize {
+        check_row_matches(96, degree, degree % 4, 7);
+        check_row_matches(960, degree, (degree + 1) % 4, 8);
+    }
+}
+
 proptest! {
+    #[test]
+    fn prop_row_matches_equal_scalar_hamming_on_all_levels(
+        dim in 1usize..961,
+        degree in 1usize..65,
+        offset in 0usize..4,
+        seed in 0u32..1000,
+    ) {
+        check_row_matches(dim, degree, offset, seed);
+    }
+
     #[test]
     fn prop_code_distance_matches_naive_on_all_levels(
         pairs in proptest::collection::vec((-127i32..128, -127i32..128), 0..400),
