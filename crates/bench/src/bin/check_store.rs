@@ -32,7 +32,7 @@ use pathweaver_core::store::segment::{
     KIND_VECTORS, TOC_ENTRY_LEN,
 };
 use pathweaver_core::store::{StoreError, SEGMENT_FILE, WAL_FILE};
-use pathweaver_core::{DurableIndex, PathWeaverConfig, PathWeaverIndex};
+use pathweaver_core::{DeleteOutcome, DurableIndex, PathWeaverConfig, PathWeaverIndex};
 use pathweaver_datasets::{DatasetProfile, Scale};
 use pathweaver_search::SearchParams;
 use rand::Rng;
@@ -153,7 +153,7 @@ fn build_matrix(root: &Path, seed: u64) -> Matrix {
         record_ends.push(wal_len());
         prefix_states.push(snap(&durable));
     }
-    assert!(durable.delete(base_len).expect("wal delete"));
+    assert_eq!(durable.delete_outcome(base_len).expect("wal delete"), DeleteOutcome::Applied);
     record_ends.push(wal_len());
     prefix_states.push(snap(&durable));
     drop(durable);

@@ -35,9 +35,6 @@
 //!   and tracing) enabled vs disabled; search results and simulated-clock
 //!   counters are asserted unchanged, so only wall time may differ. The
 //!   disabled side is the number the perf gate tracks.
-//! - `segment_open`: opening the saved index through the checksummed
-//!   zero-copy segment path vs the legacy per-file directory loader. The
-//!   two loaded indexes are asserted to search identically before timing.
 //! - `serve_throughput`: a stream of single-query batches served one at a
 //!   time (`search_pipelined` in a loop) vs overlapped through the streaming
 //!   `Server` on a 4-device ring. Hits are asserted identical, and the
@@ -448,46 +445,6 @@ fn pipelined_search() -> Value {
     result("pipelined_search", baseline, optimized)
 }
 
-/// Store open: the checksummed zero-copy segment (one aligned read, typed
-/// views straight into the in-memory layouts) vs the legacy per-file
-/// directory loader, on the same index. Both loads go through the public
-/// `load_index` format probe; the two loaded indexes are asserted to search
-/// identically before timing.
-fn segment_open() -> Value {
-    use pathweaver_core::store;
-    use pathweaver_core::{PathWeaverConfig, PathWeaverIndex};
-    let w = DatasetProfile::deep10m_like().workload(Scale::Test, 8, 10, 61);
-    let idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2))
-        .expect("bench index builds");
-    let params = SearchParams::default();
-
-    let root = std::env::temp_dir().join(format!("pw-bench-store-{}", std::process::id()));
-    let legacy_dir = root.join("legacy");
-    let segment_dir = root.join("segment");
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&legacy_dir).expect("create bench store dir");
-    std::fs::create_dir_all(&segment_dir).expect("create bench store dir");
-    store::legacy::save_index_legacy(&idx, &legacy_dir).expect("legacy save");
-    store::save_index(&idx, &segment_dir).expect("segment save");
-
-    let from_legacy = store::load_index(&legacy_dir).expect("legacy load");
-    let from_segment = store::load_index(&segment_dir).expect("segment load");
-    assert_eq!(
-        from_legacy.search_pipelined(&w.queries, &params).hits,
-        from_segment.search_pipelined(&w.queries, &params).hits,
-        "segment and legacy loaders disagree on search results"
-    );
-
-    let baseline = time_ms(9, || {
-        black_box(store::load_index(&legacy_dir).expect("legacy load"));
-    });
-    let optimized = time_ms(9, || {
-        black_box(store::load_index(&segment_dir).expect("segment load"));
-    });
-    let _ = std::fs::remove_dir_all(&root);
-    result("segment_open", baseline, optimized)
-}
-
 /// Streamed serving vs one-batch-at-a-time: a backlog of single-query
 /// batches on a 4-device ring. Serialized, every batch pays the full ring
 /// traversal before the next starts; streamed through the [`Server`], batch
@@ -654,7 +611,7 @@ fn mutate_under_serve() -> Value {
                 let far: Vec<f32> = w.base.row(i % w.base.len()).iter().map(|x| x + 40.0).collect();
                 minted.push(concurrent.insert(&far).expect("streamed insert"));
                 if i % 2 == 1 {
-                    concurrent.delete(minted[i - 1]).expect("streamed delete");
+                    concurrent.delete_outcome(minted[i - 1]).expect("streamed delete");
                 }
                 i += 1;
                 std::thread::sleep(std::time::Duration::from_millis(2));
@@ -791,7 +748,6 @@ fn main() {
         quantized_search(),
         pipelined_search(),
         obs_overhead(),
-        segment_open(),
         serve_throughput(),
         mutate_under_serve(),
         cluster_serve(),

@@ -19,14 +19,14 @@
 //! All vector files use the TexMex `fvecs`/`ivecs` formats, so the real
 //! Sift/Gist/Deep corpora work directly. `verify` checksum-audits a store
 //! without loading it; `compact` folds the write-ahead log into a fresh
-//! segment (and migrates legacy directory stores to the segment format).
+//! segment.
 //! `cluster` boots an in-process multi-node cluster (partitioned, replicated
 //! node processes behind the frame RPC layer — TCP loopback with `--tcp`,
 //! the deterministic channel transport otherwise), routes query batches
 //! through it, and reports per-node load, failovers and simulated QPS.
 
 use pathweaver_core::prelude::*;
-use pathweaver_core::store::{is_segment_store, load_index, save_index, verify_store};
+use pathweaver_core::store::{load_index, save_index, verify_store};
 use pathweaver_datasets::io::{read_fvecs_file, read_ivecs, write_fvecs, write_ivecs};
 use pathweaver_datasets::recall_at_k;
 use std::collections::BTreeMap;
@@ -261,41 +261,26 @@ fn eval(flags: &BTreeMap<String, String>) {
 fn verify(flags: &BTreeMap<String, String>) {
     let dir = req(flags, "index");
     let report = verify_store(dir).unwrap_or_else(|e| fail(e));
-    if report.segment_format {
-        println!(
-            "{dir}: segment store OK — {} sections, {} checksum-verified; \
-             wal: {} records, {} torn bytes",
-            report.sections,
-            pathweaver_util::fmt::bytes(report.segment_bytes as f64),
-            report.wal_records,
-            report.wal_torn_bytes,
-        );
-        if report.wal_torn_bytes > 0 {
-            println!(
-                "note: the torn tail is an expected crash artifact; opening the store repairs it"
-            );
-        }
-    } else {
-        println!("{dir}: legacy directory store OK (full load; migrate with `pwctl compact`)");
+    println!(
+        "{dir}: segment store OK — {} sections, {} checksum-verified; \
+         wal: {} records, {} torn bytes",
+        report.sections,
+        pathweaver_util::fmt::bytes(report.segment_bytes as f64),
+        report.wal_records,
+        report.wal_torn_bytes,
+    );
+    if report.wal_torn_bytes > 0 {
+        println!("note: the torn tail is an expected crash artifact; opening the store repairs it");
     }
 }
 
 fn compact(flags: &BTreeMap<String, String>) {
     let dir = req(flags, "index");
-    let migrating = !is_segment_store(dir);
     let sw = pathweaver_obs::Stopwatch::start();
-    // Loading replays the WAL (segment stores) or parses the directory
-    // (legacy); saving always writes a fresh segment + empty WAL.
+    // Loading replays the WAL; saving writes a fresh segment + empty WAL.
     let index = load_index(dir).unwrap_or_else(|e| fail(e));
     save_index(&index, dir).unwrap_or_else(|e| fail(e));
-    if migrating {
-        // The legacy per-shard files are now stale duplicates of the
-        // segment; keeping them would make the store ambiguous.
-        remove_legacy_files(dir).unwrap_or_else(|e| fail(e));
-        println!("migrated legacy store {dir} to the segment format in {:.1}s", sw.elapsed_secs());
-    } else {
-        println!("compacted {dir} in {:.1}s (wal folded into a fresh segment)", sw.elapsed_secs());
-    }
+    println!("compacted {dir} in {:.1}s (wal folded into a fresh segment)", sw.elapsed_secs());
 }
 
 /// Boots an in-process cluster over the given dataset and routes query
@@ -373,22 +358,6 @@ fn cluster(flags: &BTreeMap<String, String>) {
         nodes,
     );
     cluster.shutdown();
-}
-
-fn remove_legacy_files(dir: &str) -> std::io::Result<()> {
-    let dir = std::path::Path::new(dir);
-    let meta = dir.join("meta.json");
-    if meta.exists() {
-        std::fs::remove_file(meta)?;
-    }
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if path.is_dir() && name.starts_with("shard-") {
-            std::fs::remove_dir_all(path)?;
-        }
-    }
-    Ok(())
 }
 
 fn info(flags: &BTreeMap<String, String>) {

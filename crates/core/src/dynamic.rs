@@ -22,10 +22,9 @@ use std::sync::Arc;
 
 /// What a [`PathWeaverIndex::delete_outcome`] call actually did.
 ///
-/// `delete` collapses the three cases into a bool, which makes
-/// delete-unknown indistinguishable from delete-twice at call sites that
-/// care (WAL replay, client error reporting). The outcome keeps them apart
-/// while staying idempotent: replaying any of the three is a no-op.
+/// Delete-unknown and delete-twice stay distinguishable for the call sites
+/// that care (WAL replay, client error reporting), while every case stays
+/// idempotent: replaying any of the three is a no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeleteOutcome {
     /// The id was live and is now tombstoned.
@@ -39,7 +38,7 @@ pub enum DeleteOutcome {
 }
 
 impl DeleteOutcome {
-    /// Whether the call changed the index (the legacy `delete` bool).
+    /// Whether the call changed the index.
     pub fn applied(self) -> bool {
         matches!(self, Self::Applied)
     }
@@ -222,13 +221,6 @@ impl PathWeaverIndex {
 
         self.assignment.push(s, global_id);
         global_id
-    }
-
-    /// Logically deletes a global id; returns `false` when it was not found
-    /// or already deleted. See [`PathWeaverIndex::delete_outcome`] when the
-    /// two `false` cases must stay distinguishable.
-    pub fn delete(&mut self, global_id: u32) -> bool {
-        self.delete_outcome(global_id).applied()
     }
 
     /// Logically deletes a global id, reporting which of the three cases
@@ -434,7 +426,7 @@ pub(crate) fn rebuild_shard(
 /// A store-backed index whose mutations are durable.
 ///
 /// The crash-recovery contract: after [`DurableIndex::insert`] or
-/// [`DurableIndex::delete`] returns, the mutation survives any crash —
+/// [`DurableIndex::delete_outcome`] returns, the mutation survives any crash —
 /// kill the process at an arbitrary WAL byte offset, [`DurableIndex::open`]
 /// the directory again, and searches return results bitwise-identical to an
 /// index that never saw the torn record (the torn tail is truncated away on
@@ -476,16 +468,11 @@ impl DurableIndex {
     ///
     /// # Errors
     ///
-    /// IO failures, [`StoreError::Corrupt`] for checksum violations, or
-    /// [`StoreError::Malformed`] if `dir` holds a legacy store — migrate
-    /// those first (`pwctl compact`), durability needs a WAL.
+    /// IO failures ([`StoreError::Io`] with `NotFound` when `dir` holds no
+    /// segment or no WAL; nothing is created then), or
+    /// [`StoreError::Corrupt`] for checksum violations.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
-        if !store::is_segment_store(&dir) {
-            return Err(StoreError::Malformed(
-                "not a segment store; migrate legacy directories with `pwctl compact`".into(),
-            ));
-        }
         let mut index = store::segment::read_segment(dir.join(store::SEGMENT_FILE))?;
         let wal_path = dir.join(store::WAL_FILE);
         let replay = wal::read_wal(&wal_path)?;
@@ -527,20 +514,11 @@ impl DurableIndex {
         Ok(got)
     }
 
-    /// Durably tombstones a global id; `false` when it was not found or
-    /// already deleted. Logged before it is applied, like inserts.
-    ///
-    /// # Errors
-    ///
-    /// IO failures; the index is unchanged on error.
-    pub fn delete(&mut self, global_id: u32) -> Result<bool, StoreError> {
-        Ok(self.delete_outcome(global_id)?.applied())
-    }
-
     /// Durably tombstones a global id, reporting the [`DeleteOutcome`].
-    /// The record is logged even for no-op outcomes — replay is idempotent
-    /// (`AlreadyDeleted`/`Unknown` replays change nothing), and logging
-    /// unconditionally keeps the WAL a faithful mutation history.
+    /// Logged before it is applied, like inserts, and logged even for no-op
+    /// outcomes — replay is idempotent (`AlreadyDeleted`/`Unknown` replays
+    /// change nothing), and logging unconditionally keeps the WAL a faithful
+    /// mutation history.
     ///
     /// # Errors
     ///
@@ -636,17 +614,11 @@ mod tests {
         queries.push(w.base.row(target_global as usize));
         let before = idx.search_pipelined(&queries, &SearchParams::default());
         assert!(before.results[0].contains(&target_global));
-        assert!(idx.delete(target_global));
-        assert!(!idx.delete(target_global), "double delete must be false");
+        assert_eq!(idx.delete_outcome(target_global), DeleteOutcome::Applied);
+        assert_eq!(idx.delete_outcome(target_global), DeleteOutcome::AlreadyDeleted);
         let after = idx.search_pipelined(&queries, &SearchParams::default());
         assert!(!after.results[0].contains(&target_global));
         assert_eq!(idx.live_vectors(), w.base.len() - 1);
-    }
-
-    #[test]
-    fn delete_unknown_id_is_false() {
-        let (_, mut idx) = built();
-        assert!(!idx.delete(999_999));
     }
 
     #[test]
@@ -662,7 +634,7 @@ mod tests {
             .take(idx.shards[0].len() * 2 / 5)
             .collect();
         for &g in &victims {
-            assert!(idx.delete(g));
+            assert_eq!(idx.delete_outcome(g), DeleteOutcome::Applied);
         }
         let len_before = idx.shards[0].len();
         let rebuilt = idx.maintain(0.3).unwrap();
@@ -701,7 +673,7 @@ mod tests {
             .take(idx.shards[0].len() / 2)
             .collect();
         for &g in &victims {
-            idx.delete(g);
+            idx.delete_outcome(g);
         }
         assert_eq!(idx.maintain(0.3).unwrap(), 1);
         // New ids must stay above every live id even after compaction.
@@ -721,7 +693,7 @@ mod tests {
         let params = SearchParams::default();
         let before = idx.search_pipelined(&w.queries, &params);
         for &g in &before.results[0][..6] {
-            assert!(idx.delete(g));
+            assert_eq!(idx.delete_outcome(g), DeleteOutcome::Applied);
         }
         let after = idx.search_pipelined(&w.queries, &params);
         assert_eq!(after.results[0].len(), params.k, "k live results expected");
@@ -735,7 +707,7 @@ mod tests {
         let w = DatasetProfile::deep10m_like().workload(Scale::Test, 4, 5, 23);
         let mut idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
         let g = idx.shards[0].global_ids[0];
-        idx.delete(g);
+        idx.delete_outcome(g);
         assert_eq!(idx.maintain(0.3).unwrap(), 0);
         assert_eq!(idx.shards[0].deleted.count(), 1);
     }
@@ -764,7 +736,7 @@ mod tests {
         let ids: Vec<u32> = idx.shards[0].global_ids.clone();
         let keep = degree.min(ids.len().saturating_sub(1));
         for &g in &ids[keep..] {
-            assert!(idx.delete(g));
+            assert_eq!(idx.delete_outcome(g), DeleteOutcome::Applied);
         }
         let dead_before = idx.shards[0].deleted.count();
         assert!(dead_before > 0);
@@ -797,7 +769,7 @@ mod tests {
         let mut idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
         let ids: Vec<u32> = idx.shards[0].global_ids.clone();
         for &g in &ids {
-            assert!(idx.delete(g));
+            assert_eq!(idx.delete_outcome(g), DeleteOutcome::Applied);
         }
         assert_eq!(idx.maintain(0.3).unwrap(), 1);
         let shard = &idx.shards[0];
@@ -830,7 +802,7 @@ mod tests {
             .take(idx.shards[0].len() * 2 / 5)
             .collect();
         for &g in &victims {
-            idx.delete(g);
+            idx.delete_outcome(g);
         }
         assert!(idx.maintain(0.3).unwrap() >= 1);
         assert_eq!(idx.delete_outcome(victims[0]), DeleteOutcome::AlreadyDeleted);
@@ -913,7 +885,7 @@ mod tests {
             .take(idx.shards[0].len() * 2 / 5)
             .collect();
         for &g in &victims {
-            assert!(idx.delete(g));
+            assert_eq!(idx.delete_outcome(g), DeleteOutcome::Applied);
         }
         assert_eq!(idx.maintain(0.3).unwrap(), 1);
         let shard = &idx.shards[0];

@@ -369,7 +369,7 @@ impl PathWeaverIndex {
         crate::store::save_index(self, dir)
     }
 
-    /// Loads an index from `dir`, probing for the segment vs legacy format
+    /// Loads an index saved by [`save`](Self::save)
     /// ([`crate::store::load_index`]).
     ///
     /// # Errors

@@ -30,9 +30,8 @@
 //!   [`snapshot::ConcurrentIndex`] lets searches pin immutable
 //!   point-in-time snapshots while inserts/deletes stream and a background
 //!   maintainer rebuilds heavily-deleted shards off the hot path.
-//! - [`store`]: the durable index store — checksummed zero-copy segment
-//!   files plus a write-ahead log, with a legacy-directory loader behind a
-//!   format probe.
+//! - [`store`]: the durable index store — one checksummed zero-copy segment
+//!   file plus a write-ahead log.
 //! - [`report`]: JSON experiment records for the reproduction harness.
 //!
 //! # Quickstart
@@ -77,9 +76,7 @@ pub use cluster::{ClusterError, ClusterOutput, LocalCluster, Router};
 pub use config::{ClusterConfig, PathWeaverConfig};
 pub use dynamic::{DeleteOutcome, DurableIndex, MaintainError};
 pub use index::{PathWeaverIndex, SearchOutput, ShardIndex};
-pub use serve::{
-    QueryResult, QueryTicket, ServeConfig, ServeError, ServeSource, Server, SubmitError,
-};
+pub use serve::{QueryResult, QueryTicket, ServeConfig, ServeError, Server, SubmitError};
 pub use snapshot::{ConcurrentError, ConcurrentIndex, IndexSnapshot, MaintainerHandle};
 pub use store::{StoreError, StoreReport};
 
@@ -92,7 +89,7 @@ pub mod prelude {
     pub use crate::eval::{qps_at_recall, sweep_beam, sweep_iterations, SweepPoint};
     pub use crate::index::{PathWeaverIndex, SearchOutput, ShardIndex};
     pub use crate::serve::{
-        QueryResult, QueryTicket, ServeConfig, ServeError, ServeSource, Server, SubmitError,
+        QueryResult, QueryTicket, ServeConfig, ServeError, Server, SubmitError,
     };
     pub use crate::snapshot::{ConcurrentError, ConcurrentIndex, IndexSnapshot, MaintainerHandle};
     pub use crate::store::{StoreError, StoreReport};

@@ -87,11 +87,14 @@ impl PathWeaverIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `queries` is empty or its dimensionality differs from the
-    /// index.
+    /// Panics if `queries` is empty, its dimensionality differs from the
+    /// index, or `params` fail [`SearchParams::validate`] — all checked on
+    /// the calling thread before the ring starts, since a panic on a device
+    /// thread would leave the ring waiting for its chunk forever.
     pub fn search_pipelined(&self, queries: &VectorSet, params: &SearchParams) -> SearchOutput {
         assert!(!queries.is_empty(), "empty query batch");
         assert_eq!(queries.dim(), self.dim(), "query dimensionality mismatch");
+        params.validate();
         let n = self.num_devices();
         let cost = CostModel::new(self.config.device);
         // Batch ids are only consumed while tracing, so metrics-only runs
@@ -258,6 +261,15 @@ mod tests {
         assert!(recall > 0.8, "recall {recall}");
         assert!(out.qps > 0.0);
         assert!(out.makespan_s > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need 0 < k <= beam")]
+    fn invalid_params_panic_on_the_calling_thread() {
+        let w = DatasetProfile::deep10m_like().workload(Scale::Test, 2, 10, 23);
+        let idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
+        let params = SearchParams { k: 100, beam: 16, ..SearchParams::default() };
+        let _ = idx.search_pipelined(&w.queries, &params);
     }
 
     #[test]

@@ -125,9 +125,9 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Serving-layer failure surfaced by [`Server::new`], [`QueryTicket::wait`]
-/// and [`serve_once`] — the typed form of what used to be a panic, so hot
-/// callers (the cluster node front end) can turn it into an error frame.
+/// Serving-layer failure surfaced by [`Server::new`] and
+/// [`QueryTicket::wait`] — the typed form of what used to be a panic, so
+/// hot callers can turn it into an error frame.
 #[derive(Debug)]
 pub enum ServeError {
     /// An OS-level thread spawn failed while starting the server.
@@ -210,8 +210,8 @@ impl QueryTicket {
 }
 
 /// Where a server's batches get their index view from.
-#[derive(Debug, Clone)]
-pub enum ServeSource {
+#[derive(Clone)]
+enum ServeSource {
     /// A frozen index: every batch reads the same `Arc`. Identical to the
     /// historical single-index server.
     Static(Arc<PathWeaverIndex>),
@@ -359,16 +359,9 @@ impl Server {
         Self::with_source(ServeSource::Dynamic(index), config)
     }
 
-    /// Starts the serving threads over an explicit [`ServeSource`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` fails [`ServeConfig::validate`].
-    pub fn with_source(source: ServeSource, config: ServeConfig) -> Result<Self, ServeError> {
+    /// Starts the serving threads over either index source; see
+    /// [`Server::new`].
+    fn with_source(source: ServeSource, config: ServeConfig) -> Result<Self, ServeError> {
         config.validate();
         // The device count, cost model, and dimensionality are fixed for
         // the server's lifetime: snapshots never change shard count or dim.
@@ -671,47 +664,28 @@ fn completion_loop(
     }
 }
 
-/// One-shot convenience: serves `queries` as a single batch through a
-/// temporary [`Server`] and reassembles a [`SearchOutput`] — mainly for
-/// comparing the streamed path against `search_pipelined` in tests.
+/// Serves `queries` as one exclusive micro-batch and returns what a
+/// [`Server`] sized to the batch would answer. By the serve ≡
+/// `search_pipelined` contract that is exactly
+/// [`PathWeaverIndex::search_pipelined`], so the batch runs through it
+/// directly, without starting serving threads. The cluster node front end
+/// answers every request through this call.
 ///
 /// # Errors
 ///
-/// [`ServeError`] when the server cannot start or dies mid-batch; the
-/// cluster node front end maps it to an error frame instead of unwinding.
+/// None today; the `Result` is part of the serving-layer signature the
+/// cluster node front end maps to error frames.
 ///
 /// # Panics
 ///
-/// Panics on an empty or wrongly-sized batch.
+/// Panics on an empty or wrongly-sized batch, or on invalid `params`, on
+/// the calling thread (the cluster node turns that into an error frame).
 pub fn serve_once(
     index: &Arc<PathWeaverIndex>,
     queries: &VectorSet,
     params: &SearchParams,
 ) -> Result<SearchOutput, ServeError> {
-    assert!(!queries.is_empty(), "empty query batch");
-    // No timed flush: every query is submitted before any ticket is awaited,
-    // so the batch always fills `max_batch`. A flush after the default 2 ms
-    // could only split it when the submitting thread stalls, and a split
-    // changes answers, because each query's entry seed follows its position
-    // in its micro-batch.
-    let config = ServeConfig {
-        max_batch: queries.len(),
-        queue_capacity: queries.len(),
-        flush_interval_ms: 3_600_000.0,
-        params: *params,
-        ..ServeConfig::default()
-    };
-    let server = Server::new(Arc::clone(index), config)?;
-    // The server is sized to the batch, so submission cannot shed load; a
-    // rejection would still surface as Submit, never a panic.
-    let tickets = server.submit_batch(queries)?;
-    let results: Vec<QueryResult> =
-        tickets.into_iter().map(QueryTicket::wait).collect::<Result<_, _>>()?;
-    let timeline = server.timeline();
-    server.shutdown();
-    let stats = results[0].stats;
-    let hits = results.into_iter().map(|r| r.hits).collect();
-    Ok(SearchOutput::from_parts(hits, stats, timeline, queries.len()))
+    Ok(index.search_pipelined(queries, params))
 }
 
 #[cfg(test)]

@@ -131,7 +131,7 @@ struct WriterState {
 /// let snap = ci.pin(); // a reader's frozen view
 /// let id = ci.insert(w.base.row(0)).unwrap(); // does not disturb `snap`
 /// assert_eq!(snap.index().num_vectors + 1, ci.pin().index().num_vectors);
-/// assert!(ci.delete(id).unwrap());
+/// assert_eq!(ci.delete_outcome(id).unwrap(), DeleteOutcome::Applied);
 /// ```
 pub struct ConcurrentIndex {
     /// The latest published snapshot; readers clone the Arc under a read
@@ -232,16 +232,6 @@ impl ConcurrentIndex {
             r.gauge("serve.merge_backlog").set(self.merge_backlog() as f64);
         }
         Ok(id)
-    }
-
-    /// Logically deletes a global id; `Ok(true)` when it was live. See
-    /// [`delete_outcome`](Self::delete_outcome) for the three-way result.
-    ///
-    /// # Errors
-    ///
-    /// [`ConcurrentError::Store`] when the WAL append fails.
-    pub fn delete(&self, global_id: u32) -> Result<bool, ConcurrentError> {
-        Ok(self.delete_outcome(global_id)?.applied())
     }
 
     /// Logically deletes a global id, reporting the [`DeleteOutcome`], and
@@ -475,7 +465,7 @@ mod tests {
         assert_eq!(snap.version(), 0);
 
         let id = ci.insert(w.base.row(0)).unwrap();
-        assert!(ci.delete(3).unwrap());
+        assert_eq!(ci.delete_outcome(3).unwrap(), DeleteOutcome::Applied);
 
         // The pinned snapshot still sees the pre-mutation state.
         assert_eq!(snap.index().live_vectors(), before_live);
@@ -497,7 +487,7 @@ mod tests {
         for i in 0..8 {
             let novel: Vec<f32> = w.base.row(i).iter().map(|x| x * 1.01).collect();
             ci.insert(&novel).unwrap();
-            ci.delete(i as u32).unwrap();
+            ci.delete_outcome(i as u32).unwrap();
             let again = snap.index().search_pipelined(&w.queries, &params);
             assert_eq!(baseline.results, again.results, "pinned snapshot drifted");
         }
@@ -532,8 +522,8 @@ mod tests {
             .take(inline.shards[0].len() * 2 / 5)
             .collect();
         for &g in &victims {
-            assert!(inline.delete(g));
-            assert!(ci.delete(g).unwrap());
+            assert_eq!(inline.delete_outcome(g), DeleteOutcome::Applied);
+            assert_eq!(ci.delete_outcome(g).unwrap(), DeleteOutcome::Applied);
         }
         assert_eq!(inline.maintain(0.3).unwrap(), 1);
         assert_eq!(ci.maintain(0.3).unwrap(), 1);
@@ -562,7 +552,7 @@ mod tests {
         let ci = ConcurrentIndex::new(idx);
         assert_eq!(ci.merge_backlog(), 0);
         ci.insert(w.base.row(0)).unwrap();
-        ci.delete(0).unwrap();
+        ci.delete_outcome(0).unwrap();
         assert_eq!(ci.merge_backlog(), 2);
         // Double delete is a no-op and does not inflate the backlog.
         assert_eq!(ci.delete_outcome(0).unwrap(), DeleteOutcome::AlreadyDeleted);
@@ -585,7 +575,7 @@ mod tests {
         let ci = Arc::new(ConcurrentIndex::new(idx));
         let handle = ci.spawn_maintainer(0.3, 2.0).unwrap();
         for &g in shard0_ids.iter().step_by(2).take(shard0_ids.len() * 2 / 5) {
-            assert!(ci.delete(g).unwrap());
+            assert_eq!(ci.delete_outcome(g).unwrap(), DeleteOutcome::Applied);
         }
         // Wait (bounded) for the maintainer to fold the tombstones away.
         let mut folded = false;

@@ -1,37 +1,26 @@
 //! Durable index persistence.
 //!
-//! Two on-disk formats live here:
+//! A store directory holds one immutable, versioned, CRC-checksummed
+//! [`segment`] file with every shard structure in its exact in-memory
+//! layout, plus an append-only [`wal`] that logs `insert`/`delete`
+//! mutations and replays them on open:
 //!
-//! - **Segment stores** (the default since format v2): one immutable,
-//!   versioned, CRC-checksummed [`segment`] file holding every shard
-//!   structure in its exact in-memory layout, plus an append-only [`wal`]
-//!   that logs `insert`/`delete` mutations and replays them on open. A
-//!   store directory is
+//! ```text
+//! index-dir/
+//!   segment.pwseg            immutable checksummed segment (all shards)
+//!   wal.pwal                 append-only mutation log
+//! ```
 //!
-//!   ```text
-//!   index-dir/
-//!     segment.pwseg            immutable checksummed segment (all shards)
-//!     wal.pwal                 append-only mutation log
-//!   ```
-//!
-//! - The **legacy directory format** (v1, [`legacy`]): one file per
-//!   structure per shard (`vectors.fvecs`, `graph.pwgr`, ...), deserialized
-//!   record by record. Kept behind a format probe so old stores keep
-//!   loading; `pwctl compact` migrates them.
-//!
-//! [`load_index`] probes the directory and dispatches; [`save_index`]
-//! always writes the segment format. Mutating under durability guarantees
-//! goes through [`crate::dynamic::DurableIndex`], which appends to the WAL
-//! before acknowledging each mutation and folds the log back into a fresh
-//! segment on `compact`.
+//! [`save_index`] writes a fresh segment and an empty WAL; [`load_index`]
+//! reads the segment and replays the WAL. Mutating under durability
+//! guarantees goes through [`crate::dynamic::DurableIndex`], which appends
+//! to the WAL before acknowledging each mutation and folds the log back
+//! into a fresh segment on `compact`.
 
-pub mod legacy;
 pub mod segment;
 pub mod wal;
 
-use crate::config::PathWeaverConfig;
 use crate::index::PathWeaverIndex;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// File name of the segment inside a store directory.
@@ -44,8 +33,6 @@ pub const WAL_FILE: &str = "wal.pwal";
 pub enum StoreError {
     /// Underlying IO failure.
     Io(std::io::Error),
-    /// Structurally invalid index directory (legacy format).
-    Malformed(String),
     /// A segment or WAL failed its checksum / framing / structural
     /// validation. `offset` is the byte offset of the rejected region in
     /// the file named by `detail`.
@@ -61,7 +48,6 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Io(e) => write!(f, "io error: {e}"),
-            Self::Malformed(m) => write!(f, "malformed index directory: {m}"),
             Self::Corrupt { offset, detail } => {
                 write!(f, "corrupt store at byte {offset}: {detail}")
             }
@@ -77,77 +63,8 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-pub(crate) fn malformed(e: impl std::fmt::Display) -> StoreError {
-    StoreError::Malformed(e.to_string())
-}
-
 pub(crate) fn corrupt(offset: u64, detail: impl std::fmt::Display) -> StoreError {
     StoreError::Corrupt { offset, detail: detail.to_string() }
-}
-
-/// The JSON-serializable subset of the configuration; device and topology
-/// models are reconstructed from presets on load. Shared by both formats.
-#[derive(Debug, Serialize, Deserialize)]
-pub(crate) struct Meta {
-    pub version: u32,
-    pub num_devices: usize,
-    pub dim: usize,
-    pub num_vectors: usize,
-    pub graph: pathweaver_graph::CagraBuildParams,
-    pub intershard: pathweaver_graph::InterShardParams,
-    pub build_dir_table: bool,
-    // Option so metas written before the quantized tier existed still parse
-    // (the vendored serde maps a missing field to None, never a default
-    // bool); absent means the tier is off.
-    pub build_quantized: Option<bool>,
-    pub ghost: Option<pathweaver_graph::GhostParams>,
-    pub forward_width: usize,
-    pub ghost_iterations: usize,
-    pub ghost_entries: usize,
-    pub ghost_beam: usize,
-    pub ghost_seeds: usize,
-    pub seed_extra_random: usize,
-    pub seed: u64,
-}
-
-impl Meta {
-    pub(crate) fn from_index(version: u32, index: &PathWeaverIndex) -> Self {
-        Self {
-            version,
-            num_devices: index.num_devices(),
-            dim: index.dim(),
-            num_vectors: index.num_vectors,
-            graph: index.config.graph,
-            intershard: index.config.intershard,
-            build_dir_table: index.config.build_dir_table,
-            build_quantized: Some(index.config.build_quantized),
-            ghost: index.config.ghost,
-            forward_width: index.config.forward_width,
-            ghost_iterations: index.config.ghost_iterations,
-            ghost_entries: index.config.ghost_entries,
-            ghost_beam: index.config.ghost_beam,
-            ghost_seeds: index.config.ghost_seeds,
-            seed_extra_random: index.config.seed_extra_random,
-            seed: index.config.seed,
-        }
-    }
-
-    pub(crate) fn to_config(&self) -> PathWeaverConfig {
-        let mut config = PathWeaverConfig::full(self.num_devices);
-        config.graph = self.graph;
-        config.intershard = self.intershard;
-        config.build_dir_table = self.build_dir_table;
-        config.build_quantized = self.build_quantized.unwrap_or(false);
-        config.ghost = self.ghost;
-        config.forward_width = self.forward_width;
-        config.ghost_iterations = self.ghost_iterations;
-        config.ghost_entries = self.ghost_entries;
-        config.ghost_beam = self.ghost_beam;
-        config.ghost_seeds = self.ghost_seeds;
-        config.seed_extra_random = self.seed_extra_random;
-        config.seed = self.seed;
-        config
-    }
 }
 
 /// Saves `index` under `dir` (created if missing) in the segment format,
@@ -165,44 +82,30 @@ pub fn save_index(index: &PathWeaverIndex, dir: impl AsRef<Path>) -> Result<(), 
     Ok(())
 }
 
-/// Loads an index saved by [`save_index`] (or the legacy
-/// [`legacy::save_index_legacy`]), probing the directory for its format.
-///
-/// Segment stores replay any WAL records onto the loaded index; this is a
-/// read-only open (the WAL file itself is not truncated — open the store
-/// through [`crate::dynamic::DurableIndex::open`] to also repair torn
-/// tails on disk).
+/// Loads an index saved by [`save_index`] and replays any WAL records onto
+/// it. This is a read-only open (the WAL file itself is not truncated —
+/// open the store through [`crate::dynamic::DurableIndex::open`] to also
+/// repair torn tails on disk).
 ///
 /// # Errors
 ///
-/// IO failures, [`StoreError::Corrupt`] on checksum/framing violations in
-/// a segment store, or [`StoreError::Malformed`] on structural problems in
-/// a legacy directory.
+/// IO failures ([`StoreError::Io`] with `NotFound` when `dir` holds no
+/// segment), or [`StoreError::Corrupt`] on checksum/framing/structural
+/// violations.
 pub fn load_index(dir: impl AsRef<Path>) -> Result<PathWeaverIndex, StoreError> {
     let dir = dir.as_ref();
-    if dir.join(SEGMENT_FILE).exists() {
-        let mut index = segment::read_segment(dir.join(SEGMENT_FILE))?;
-        let wal_path = dir.join(WAL_FILE);
-        if wal_path.exists() {
-            let replay = wal::read_wal(&wal_path)?;
-            wal::apply_records(&mut index, &replay.records)?;
-        }
-        Ok(index)
-    } else {
-        legacy::load_index_legacy(dir)
+    let mut index = segment::read_segment(dir.join(SEGMENT_FILE))?;
+    let wal_path = dir.join(WAL_FILE);
+    if wal_path.exists() {
+        let replay = wal::read_wal(&wal_path)?;
+        wal::apply_records(&mut index, &replay.records)?;
     }
-}
-
-/// Whether `dir` holds a segment-format store (vs legacy or nothing).
-pub fn is_segment_store(dir: impl AsRef<Path>) -> bool {
-    dir.as_ref().join(SEGMENT_FILE).exists()
+    Ok(index)
 }
 
 /// A checksum audit of one store directory (see [`verify_store`]).
 #[derive(Debug)]
 pub struct StoreReport {
-    /// `true` for segment stores, `false` for legacy directories.
-    pub segment_format: bool,
     /// Number of checksummed segment sections verified.
     pub sections: usize,
     /// Total segment bytes verified.
@@ -215,41 +118,28 @@ pub struct StoreReport {
 
 /// Checksum-audits a store without materializing the index: verifies the
 /// segment header, table of contents and every section CRC, then scans the
-/// WAL and reports any torn tail. Legacy directories are audited by a full
-/// load (they have no checksums to verify in place).
+/// WAL and reports any torn tail.
 ///
 /// # Errors
 ///
-/// [`StoreError::Corrupt`] (segment or WAL header damage), or the legacy
-/// loader's errors for legacy directories.
+/// IO failures ([`StoreError::Io`] with `NotFound` when `dir` holds no
+/// segment), or [`StoreError::Corrupt`] (segment or WAL header damage).
 pub fn verify_store(dir: impl AsRef<Path>) -> Result<StoreReport, StoreError> {
     let dir = dir.as_ref();
-    if is_segment_store(dir) {
-        let audit = segment::verify_segment(dir.join(SEGMENT_FILE))?;
-        let wal_path = dir.join(WAL_FILE);
-        let (wal_records, wal_torn_bytes) = if wal_path.exists() {
-            let replay = wal::read_wal(&wal_path)?;
-            (replay.records.len(), replay.torn_bytes)
-        } else {
-            (0, 0)
-        };
-        Ok(StoreReport {
-            segment_format: true,
-            sections: audit.sections,
-            segment_bytes: audit.bytes,
-            wal_records,
-            wal_torn_bytes,
-        })
+    let audit = segment::verify_segment(dir.join(SEGMENT_FILE))?;
+    let wal_path = dir.join(WAL_FILE);
+    let (wal_records, wal_torn_bytes) = if wal_path.exists() {
+        let replay = wal::read_wal(&wal_path)?;
+        (replay.records.len(), replay.torn_bytes)
     } else {
-        let _ = legacy::load_index_legacy(dir)?;
-        Ok(StoreReport {
-            segment_format: false,
-            sections: 0,
-            segment_bytes: 0,
-            wal_records: 0,
-            wal_torn_bytes: 0,
-        })
-    }
+        (0, 0)
+    };
+    Ok(StoreReport {
+        sections: audit.sections,
+        segment_bytes: audit.bytes,
+        wal_records,
+        wal_torn_bytes,
+    })
 }
 
 #[cfg(test)]
@@ -291,7 +181,8 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::TempDir;
     use super::*;
-    use crate::index::PathWeaverIndex;
+    use crate::config::PathWeaverConfig;
+    use crate::dynamic::DeleteOutcome;
     use pathweaver_datasets::{recall_batch, DatasetProfile, Scale};
     use pathweaver_search::SearchParams;
 
@@ -301,7 +192,6 @@ mod tests {
         let idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
         let dir = TempDir::new("roundtrip");
         save_index(&idx, dir.path()).unwrap();
-        assert!(is_segment_store(dir.path()), "save_index writes the segment format");
         let loaded = load_index(dir.path()).unwrap();
         assert_eq!(loaded.num_devices(), 2);
         assert_eq!(loaded.dim(), idx.dim());
@@ -336,12 +226,12 @@ mod tests {
         let w = DatasetProfile::deep10m_like().workload(Scale::Test, 4, 5, 72);
         let mut idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
         let victim = idx.shards[0].global_ids[3];
-        assert!(idx.delete(victim));
+        assert_eq!(idx.delete_outcome(victim), DeleteOutcome::Applied);
         let dir = TempDir::new("tombstone");
         save_index(&idx, dir.path()).unwrap();
         let mut loaded = load_index(dir.path()).unwrap();
         assert_eq!(loaded.live_vectors(), idx.live_vectors());
-        assert!(!loaded.delete(victim), "already tombstoned");
+        assert_eq!(loaded.delete_outcome(victim), DeleteOutcome::AlreadyDeleted);
     }
 
     #[test]
@@ -357,7 +247,6 @@ mod tests {
         let dir = TempDir::new("verify");
         save_index(&idx, dir.path()).unwrap();
         let report = verify_store(dir.path()).unwrap();
-        assert!(report.segment_format);
         assert!(report.sections > 0);
         assert!(report.segment_bytes > 0);
         assert_eq!(report.wal_records, 0);

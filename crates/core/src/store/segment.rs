@@ -2,9 +2,8 @@
 //!
 //! One file holds every shard structure in its exact in-memory layout, so
 //! opening a store is **one aligned read plus typed views** — no per-record
-//! framing and no per-element decode loop (the legacy format pays both, and
-//! rebuilds the direction tables besides; the `segment_open` wallclock bench
-//! pins the gap). File layout, all words little-endian:
+//! framing, no per-element decode loop, and no rebuilt direction tables.
+//! File layout, all words little-endian:
 //!
 //! ```text
 //! offset 0     header (64 bytes)
@@ -33,11 +32,17 @@
 //! the offset of the rejected region — a damaged segment is rejected, never
 //! partially loaded.
 
-use super::{corrupt, Meta, StoreError};
+use super::{corrupt, StoreError};
+use crate::config::PathWeaverConfig;
 use crate::index::{PathWeaverIndex, ShardIndex};
-use pathweaver_graph::{DirectionTable, FixedDegreeGraph, GhostShard, InterShardTable};
+use crate::shard::ShardAssignment;
+use pathweaver_gpusim::MemoryLedger;
+use pathweaver_graph::{
+    BuildReport, DirectionTable, FixedDegreeGraph, GhostShard, InterShardTable,
+};
 use pathweaver_util::{crc32, put_le_words, AlignedBytes, FixedBitSet};
 use pathweaver_vector::{QuantizedSet, VectorSet};
+use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
 
@@ -85,6 +90,72 @@ fn pad64(n: usize) -> usize {
     n.div_ceil(64) * 64
 }
 
+/// The JSON-serializable subset of the configuration, stored in the
+/// [`KIND_META`] section; device and topology models are reconstructed from
+/// presets on load.
+#[derive(Debug, Serialize, Deserialize)]
+struct Meta {
+    version: u32,
+    num_devices: usize,
+    dim: usize,
+    num_vectors: usize,
+    graph: pathweaver_graph::CagraBuildParams,
+    intershard: pathweaver_graph::InterShardParams,
+    build_dir_table: bool,
+    // Option so metas written before the quantized tier existed still parse
+    // (the vendored serde maps a missing field to None, never a default
+    // bool); absent means the tier is off.
+    build_quantized: Option<bool>,
+    ghost: Option<pathweaver_graph::GhostParams>,
+    forward_width: usize,
+    ghost_iterations: usize,
+    ghost_entries: usize,
+    ghost_beam: usize,
+    ghost_seeds: usize,
+    seed_extra_random: usize,
+    seed: u64,
+}
+
+impl Meta {
+    fn from_index(index: &PathWeaverIndex) -> Self {
+        Self {
+            version: u32::from(VERSION),
+            num_devices: index.num_devices(),
+            dim: index.dim(),
+            num_vectors: index.num_vectors,
+            graph: index.config.graph,
+            intershard: index.config.intershard,
+            build_dir_table: index.config.build_dir_table,
+            build_quantized: Some(index.config.build_quantized),
+            ghost: index.config.ghost,
+            forward_width: index.config.forward_width,
+            ghost_iterations: index.config.ghost_iterations,
+            ghost_entries: index.config.ghost_entries,
+            ghost_beam: index.config.ghost_beam,
+            ghost_seeds: index.config.ghost_seeds,
+            seed_extra_random: index.config.seed_extra_random,
+            seed: index.config.seed,
+        }
+    }
+
+    fn to_config(&self) -> PathWeaverConfig {
+        let mut config = PathWeaverConfig::full(self.num_devices);
+        config.graph = self.graph;
+        config.intershard = self.intershard;
+        config.build_dir_table = self.build_dir_table;
+        config.build_quantized = self.build_quantized.unwrap_or(false);
+        config.ghost = self.ghost;
+        config.forward_width = self.forward_width;
+        config.ghost_iterations = self.ghost_iterations;
+        config.ghost_entries = self.ghost_entries;
+        config.ghost_beam = self.ghost_beam;
+        config.ghost_seeds = self.ghost_seeds;
+        config.seed_extra_random = self.seed_extra_random;
+        config.seed = self.seed;
+        config
+    }
+}
+
 /// One section staged for writing: preamble parameters + raw words.
 struct Section {
     kind: u32,
@@ -116,9 +187,9 @@ pub fn write_segment(index: &PathWeaverIndex, path: impl AsRef<Path>) -> Result<
     let path = path.as_ref();
     let mut sections = Vec::new();
 
-    let meta = Meta::from_index(2, index);
+    let meta = Meta::from_index(index);
     let json = serde_json::to_string_pretty(&meta)
-        .map_err(|e| StoreError::Malformed(format!("meta does not serialize: {e}")))?
+        .map_err(|e| std::io::Error::other(format!("segment meta does not serialize: {e}")))?
         .into_bytes();
     let mut sec = Section::new(KIND_META, GLOBAL, &[json.len() as u64]);
     sec.bytes.extend_from_slice(&json);
@@ -431,7 +502,7 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<PathWeaverIndex, StoreErro
         std::str::from_utf8(json).map_err(|e| corrupt(meta_sec.offset as u64, e))?,
     )
     .map_err(|e| corrupt(meta_sec.offset as u64, e))?;
-    if meta.version != 2 {
+    if meta.version != u32::from(VERSION) {
         return Err(corrupt(
             meta_sec.offset as u64,
             format!("segment meta declares version {}", meta.version),
@@ -531,8 +602,8 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<PathWeaverIndex, StoreErro
                 }
                 Some(t)
             }
-            // Older builds may not have persisted one; fall back to the
-            // legacy loader's rebuild so the index still opens.
+            // Segments written before the direction table was persisted:
+            // rebuild it from the vectors and graph so the index still opens.
             None => meta.build_dir_table.then(|| DirectionTable::build(&vectors, &graph)),
         };
         let quantized = match slots.quantized {
@@ -571,19 +642,64 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<PathWeaverIndex, StoreErro
         });
     }
 
-    // The ring-target validation and ledger rebuild are shared with the
-    // legacy loader; its Malformed is a checksum-passing structural lie
-    // here, i.e. corruption.
-    let index = super::legacy::finish_load(meta, config, shards, members).map_err(|e| match e {
-        StoreError::Malformed(m) => corrupt(0, m),
-        other => other,
-    })?;
+    let index = finish_load(&meta, config, shards, members)?;
     if pathweaver_obs::enabled() {
         pathweaver_obs::registry()
             .histogram("store.segment_open_wall_ns")
             .record(sw.elapsed_nanos());
     }
     Ok(index)
+}
+
+/// Ring-target validation, shard assignment and memory-ledger
+/// reconstruction for the shards [`read_segment`] materialized. Every
+/// failure here passed the checksums, so it is a structural lie in the
+/// segment: [`StoreError::Corrupt`].
+fn finish_load(
+    meta: &Meta,
+    config: PathWeaverConfig,
+    shards: Vec<ShardIndex>,
+    members: Vec<Vec<u32>>,
+) -> Result<PathWeaverIndex, StoreError> {
+    // Targets must land inside the ring successor's shard.
+    for s in 0..shards.len() {
+        if let Some(t) = &shards[s].intershard {
+            let next_len = shards[(s + 1) % shards.len()].vectors.len() as u32;
+            for u in 0..t.len() as u32 {
+                if t.target(u) >= next_len {
+                    return Err(corrupt(
+                        0,
+                        format!(
+                            "shard {s} inter-shard target {} out of range for next shard ({next_len} nodes)",
+                            t.target(u)
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+
+    let mut assignment =
+        ShardAssignment::random(meta.num_vectors.max(meta.num_devices), meta.num_devices, 0);
+    for (s, m) in members.into_iter().enumerate() {
+        assignment.set_members(s, m);
+    }
+    let mut ledgers = Vec::with_capacity(meta.num_devices);
+    for shard in &shards {
+        let mut ledger = MemoryLedger::new(config.device.mem_capacity);
+        for (label, bytes) in shard.resident_bytes() {
+            ledger.allocate(label, bytes).map_err(|e| corrupt(0, e))?;
+        }
+        ledgers.push(ledger);
+    }
+    Ok(PathWeaverIndex {
+        config,
+        shards: shards.into_iter().map(std::sync::Arc::new).collect(),
+        assignment,
+        build_report: BuildReport::new(),
+        ledgers,
+        num_vectors: meta.num_vectors,
+    })
 }
 
 fn read_vectors(raw: &AlignedBytes, sec: &RawSection) -> Result<VectorSet, StoreError> {

@@ -300,7 +300,7 @@ pub fn apply_records(index: &mut PathWeaverIndex, records: &[WalRecord]) -> Resu
             // Deletes are idempotent; a tombstone already present in the
             // segment (logged before a compact) is not an error.
             WalOp::Delete { global_id } => {
-                let _ = index.delete(*global_id);
+                let _ = index.delete_outcome(*global_id);
             }
         }
     }

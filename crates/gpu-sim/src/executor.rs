@@ -219,29 +219,6 @@ where
     collect_batch(expected, &fin_rx, &rec_rx)
 }
 
-/// Runs an `num_stages`-stage ring pipeline over `num_devices` devices, one
-/// chunk starting on each device — the one-shot compatibility wrapper over
-/// [`run_ring_stream`].
-///
-/// # Panics
-///
-/// Panics if `initial.len() != num_devices`, if `num_devices == 0`, or if
-/// `num_stages == 0`. Panics raised inside `stage_fn` propagate.
-pub fn run_ring_pipeline<T, F>(
-    num_devices: usize,
-    num_stages: usize,
-    initial: Vec<T>,
-    stage_fn: F,
-) -> (Vec<RingMessage<T>>, PipelineTimeline)
-where
-    T: Send,
-    F: Fn(usize, usize, &mut RingMessage<T>) -> StageRecord + Sync,
-{
-    assert_eq!(initial.len(), num_devices, "one initial chunk per device");
-    let chunks: Vec<(usize, T)> = initial.into_iter().enumerate().collect();
-    run_ring_stream(num_devices, num_stages, 0, chunks, |d, s, m| Some(stage_fn(d, s, m)))
-}
-
 /// Shared state between a [`RingExecutor`] and its device threads.
 struct RingShared<T> {
     txs: Vec<Sender<DeviceMsg<T>>>,
@@ -395,14 +372,19 @@ mod tests {
         }
     }
 
+    /// One chunk entering on each device, origin `d` carrying `initial[d]`.
+    fn one_per_device<T>(initial: Vec<T>) -> Vec<(usize, T)> {
+        initial.into_iter().enumerate().collect()
+    }
+
     #[test]
     fn every_chunk_visits_every_device() {
         let n = 4;
-        let (out, timeline) =
-            run_ring_pipeline(n, n, vec![Vec::<usize>::new(); n], |device, stage, msg| {
-                msg.payload.push(device);
-                record(device, stage, msg.origin_chunk)
-            });
+        let chunks = one_per_device(vec![Vec::<usize>::new(); n]);
+        let (out, timeline) = run_ring_stream(n, n, 0, chunks, |device, stage, msg| {
+            msg.payload.push(device);
+            Some(record(device, stage, msg.origin_chunk))
+        });
         assert_eq!(out.len(), n);
         for m in &out {
             // Chunk originating at d visits d, d+1, ..., d+3 (mod 4).
@@ -415,9 +397,9 @@ mod tests {
 
     #[test]
     fn single_device_runs_all_stages_locally() {
-        let (out, timeline) = run_ring_pipeline(1, 3, vec![0u32], |device, stage, msg| {
+        let (out, timeline) = run_ring_stream(1, 3, 0, vec![(0, 0u32)], |device, stage, msg| {
             msg.payload += 1;
-            record(device, stage, msg.origin_chunk)
+            Some(record(device, stage, msg.origin_chunk))
         });
         assert_eq!(out[0].payload, 3);
         assert_eq!(timeline.records().len(), 3);
@@ -426,9 +408,10 @@ mod tests {
     #[test]
     fn makespan_counts_lockstep_stages() {
         let n = 3;
-        let (_, timeline) = run_ring_pipeline(n, n, vec![(); n], |device, stage, msg| {
-            record(device, stage, msg.origin_chunk)
-        });
+        let (_, timeline) =
+            run_ring_stream(n, n, 0, one_per_device(vec![(); n]), |device, stage, msg| {
+                Some(record(device, stage, msg.origin_chunk))
+            });
         // Each stage's worst device takes 1.0s; 3 stages → 3.0s.
         assert!((timeline.makespan_s() - 3.0).abs() < 1e-12);
     }
@@ -437,19 +420,11 @@ mod tests {
     fn payloads_are_not_lost_or_duplicated() {
         let n = 5;
         let initial: Vec<u64> = (0..n as u64).map(|d| d * 100).collect();
-        let (out, _) = run_ring_pipeline(n, 2, initial, |device, stage, msg| {
-            record(device, stage, msg.origin_chunk)
+        let (out, _) = run_ring_stream(n, 2, 0, one_per_device(initial), |device, stage, msg| {
+            Some(record(device, stage, msg.origin_chunk))
         });
         let payloads: Vec<u64> = out.iter().map(|m| m.payload).collect();
         assert_eq!(payloads, vec![0, 100, 200, 300, 400]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one initial chunk per device")]
-    fn wrong_chunk_count_panics() {
-        let _ = run_ring_pipeline(2, 1, vec![()], |d, s, m: &mut RingMessage<()>| {
-            record(d, s, m.origin_chunk)
-        });
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! - [`intershard`]: the `I(u)` nearest-in-next-shard edge table (§3.1).
 //! - [`dirtable`]: packed sign-bit direction codes for every edge (§3.3).
 //! - [`stats`]: reachability and degree diagnostics.
-//! - [`serialize`]: compact binary graph (de)serialization.
 //! - [`build_report`]: build-phase timing breakdown (Fig 17).
 
 #![forbid(unsafe_code)]
@@ -35,7 +34,6 @@ pub mod greedy;
 pub mod hnsw;
 pub mod intershard;
 pub mod knn_build;
-pub mod serialize;
 pub mod stats;
 
 pub use build_report::BuildReport;

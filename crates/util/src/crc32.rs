@@ -4,8 +4,7 @@
 //! and bit rot are detected before any payload is trusted. A slice-by-8
 //! table implementation keeps the workspace dependency-free while staying
 //! fast enough that checksumming a whole segment on open is a small
-//! fraction of the read itself (multiple GB/s in release builds) — the
-//! `segment_open` wallclock bench gates this against the legacy loader.
+//! fraction of the read itself (multiple GB/s in release builds).
 
 /// The reflected IEEE polynomial used by zlib, PNG and Ethernet.
 const POLY: u32 = 0xEDB8_8320;

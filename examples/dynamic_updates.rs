@@ -39,7 +39,7 @@ fn main() {
     // stay findable.
     println!("\ndeleting 12 of the inserted vectors (logical tombstones)...");
     for (id, _) in inserted.iter().take(12) {
-        assert!(index.delete(*id));
+        assert_eq!(index.delete_outcome(*id), DeleteOutcome::Applied);
     }
     println!("live vectors: {}", index.live_vectors());
     let out = index.search_pipelined(&queries, &params);

@@ -172,9 +172,16 @@ fn mixed_mutations_under_serve_keep_recall_and_never_tear() {
                     // same tombstone must stay harmless under concurrency.
                     if i % 2 == 1 {
                         let victim = minted[i - 1];
-                        assert!(concurrent.delete(victim).unwrap(), "insert {victim} vanished");
+                        assert_eq!(
+                            concurrent.delete_outcome(victim).unwrap(),
+                            DeleteOutcome::Applied,
+                            "insert {victim} vanished"
+                        );
                         if i % 8 == 1 {
-                            assert!(!concurrent.delete(victim).unwrap());
+                            assert_eq!(
+                                concurrent.delete_outcome(victim).unwrap(),
+                                DeleteOutcome::AlreadyDeleted
+                            );
                         }
                     }
                 }

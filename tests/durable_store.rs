@@ -5,7 +5,8 @@
 mod common;
 
 use common::TempStore;
-use pathweaver::core::store::{is_segment_store, load_index, verify_store, StoreError, WAL_FILE};
+use pathweaver::core::store::{load_index, verify_store, StoreError, WAL_FILE};
+use pathweaver::datasets::io::write_fvecs;
 use pathweaver::prelude::*;
 
 fn build_index(seed: u64) -> (Workload, PathWeaverIndex) {
@@ -26,7 +27,7 @@ fn durable_mutations_survive_reopen() {
 
     let novel: Vec<f32> = w.base.row(2).iter().map(|x| x + 0.004).collect();
     let id = durable.insert(&novel).unwrap();
-    assert!(durable.delete(1).unwrap());
+    assert_eq!(durable.delete_outcome(1).unwrap(), DeleteOutcome::Applied);
     let before = search_all(&durable, &w.queries);
 
     drop(durable); // Simulated clean shutdown: no compact, WAL still pending.
@@ -135,7 +136,7 @@ fn compact_folds_wal_and_store_stays_usable() {
         let v: Vec<f32> = w.base.row(r).iter().map(|x| x + 0.002).collect();
         durable.insert(&v).unwrap();
     }
-    assert!(durable.delete(0).unwrap());
+    assert_eq!(durable.delete_outcome(0).unwrap(), DeleteOutcome::Applied);
     let before = search_all(&durable, &w.queries);
 
     durable.compact().unwrap();
@@ -159,11 +160,11 @@ fn verify_store_reports_pending_and_torn_wal_bytes() {
     let mut durable = DurableIndex::create(idx, dir.path()).unwrap();
     let v: Vec<f32> = w.base.row(0).iter().map(|x| x + 0.001).collect();
     durable.insert(&v).unwrap();
-    durable.delete(2).unwrap();
+    durable.delete_outcome(2).unwrap();
     drop(durable);
 
     let report = verify_store(dir.path()).unwrap();
-    assert!(report.segment_format);
+    assert!(report.sections > 0);
     assert_eq!(report.wal_records, 2);
     assert_eq!(report.wal_torn_bytes, 0);
 
@@ -176,31 +177,52 @@ fn verify_store_reports_pending_and_torn_wal_bytes() {
 }
 
 #[test]
-fn open_rejects_legacy_directories() {
-    let (_w, idx) = build_index(75);
-    let dir = TempStore::new("durable-legacy");
-    pathweaver::core::store::legacy::save_index_legacy(&idx, dir.path()).unwrap();
-    match DurableIndex::open(dir.path()) {
-        Err(StoreError::Malformed(msg)) => {
-            assert!(msg.contains("pwctl compact"), "should point at the migration path: {msg}");
-        }
-        other => panic!("expected Malformed, got {other:?}"),
+fn non_segment_directories_fail_cleanly() {
+    // Every store entry point must answer a directory without a segment
+    // (empty, or laid out one file per structure per shard as stores were
+    // before the segment) with Io(NotFound): no panic, and nothing written
+    // into the directory, in particular no fresh WAL.
+    let empty = TempStore::new("non-segment-empty");
+    let per_shard = TempStore::new("non-segment-per-shard");
+    std::fs::write(per_shard.join("meta.json"), r#"{"version": 1, "num_devices": 1}"#).unwrap();
+    std::fs::create_dir(per_shard.join("shard-000")).unwrap();
+    let vectors = pathweaver::vector::VectorSet::from_fn(10, 8, |r, c| (r * 8 + c) as f32);
+    write_fvecs(
+        std::fs::File::create(per_shard.join("shard-000/vectors.fvecs")).unwrap(),
+        &vectors,
+    )
+    .unwrap();
+
+    for dir in [&empty, &per_shard] {
+        let before = tree(dir.path());
+        let not_found = |what: &str, err: Option<StoreError>| match err {
+            Some(StoreError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{what}: {e}")
+            }
+            other => {
+                panic!("{what} on {}: expected Io(NotFound), got {other:?}", dir.path().display())
+            }
+        };
+        not_found("load_index", load_index(dir.path()).err());
+        not_found("verify_store", verify_store(dir.path()).err());
+        not_found("DurableIndex::open", DurableIndex::open(dir.path()).err());
+        assert_eq!(tree(dir.path()), before, "{} was modified", dir.path().display());
+        assert!(!dir.join(WAL_FILE).exists());
     }
 }
 
-#[test]
-fn legacy_directory_migrates_through_save_index() {
-    // `pwctl compact` on a legacy directory is load_index + save_index;
-    // the result must be a segment store with identical search behavior.
-    let (w, idx) = build_index(76);
-    let dir = TempStore::new("durable-migrate");
-    pathweaver::core::store::legacy::save_index_legacy(&idx, dir.path()).unwrap();
-    assert!(!is_segment_store(dir.path()));
-
-    let migrated = load_index(dir.path()).unwrap();
-    pathweaver::core::store::save_index(&migrated, dir.path()).unwrap();
-    assert!(is_segment_store(dir.path()));
-
-    let reloaded = load_index(dir.path()).unwrap();
-    assert_eq!(search_all(&idx, &w.queries), search_all(&reloaded, &w.queries));
+/// Every path under `root` with its byte contents, sorted.
+fn tree(root: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(root).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.push((path.clone(), Vec::new()));
+            out.extend(tree(&path));
+        } else {
+            out.push((path.clone(), std::fs::read(&path).unwrap()));
+        }
+    }
+    out.sort();
+    out
 }

@@ -1,27 +1,29 @@
 //! Persistence integration: graphs and datasets round-trip through the
-//! filesystem formats, experiment records reload intact, and the legacy
-//! store loader reports the exact error variant for each damage mode.
+//! filesystem formats and experiment records reload intact.
 
 mod common;
 
 use common::TempStore;
 use pathweaver::core::report::ExperimentRecord;
-use pathweaver::core::store::legacy::save_index_legacy;
-use pathweaver::core::store::{load_index, StoreError};
+use pathweaver::core::store::segment::{read_segment, write_segment};
 use pathweaver::datasets::io::{read_fvecs_file, read_ivecs, write_fvecs, write_ivecs};
-use pathweaver::graph::serialize::{read_graph, write_graph};
-use pathweaver::graph::{cagra_build, CagraBuildParams};
 use pathweaver::prelude::*;
 
 #[test]
 fn built_graph_roundtrips_through_disk() {
+    // Shard and ghost graphs reopen from the segment exactly as built.
     let w = DatasetProfile::sift_like().workload(Scale::Test, 4, 5, 51);
-    let graph = cagra_build(&w.base, &CagraBuildParams::with_degree(8));
+    let idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
     let dir = TempStore::new("graph");
-    let path = dir.join("shard0.pwgr");
-    write_graph(std::fs::File::create(&path).unwrap(), &graph).unwrap();
-    let back = read_graph(std::fs::File::open(&path).unwrap()).unwrap();
-    assert_eq!(back, graph);
+    let path = dir.join("segment.pwseg");
+    write_segment(&idx, &path).unwrap();
+    let back = read_segment(&path).unwrap();
+    for (a, b) in idx.shards.iter().zip(&back.shards) {
+        assert_eq!(b.graph, a.graph);
+        let ghost_graph = |s: &ShardIndex| s.ghost.as_ref().map(|g| g.graph.clone());
+        assert!(ghost_graph(a).is_some());
+        assert_eq!(ghost_graph(b), ghost_graph(a));
+    }
 }
 
 #[test]
@@ -72,71 +74,4 @@ fn experiment_records_round_trip() {
     let back = ExperimentRecord::load(&path).unwrap();
     assert_eq!(back.id, rec.id);
     assert_eq!(back.rows.len(), 1);
-}
-
-// --- Legacy store loader error paths ------------------------------------
-//
-// Each damage mode must surface as a *specific* `StoreError` variant, not a
-// panic and not a mis-filed variant: a missing file is `Io`, a structural
-// lie is `Malformed`. Pinning the variants keeps CLI error messages and the
-// corruption matrix (tools/check_store.sh) honest.
-
-fn legacy_store(tag: &str, seed: u64) -> (TempStore, PathWeaverIndex) {
-    let w = DatasetProfile::deep10m_like().workload(Scale::Test, 4, 5, seed);
-    let idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
-    let dir = TempStore::new(tag);
-    save_index_legacy(&idx, dir.path()).unwrap();
-    (dir, idx)
-}
-
-#[test]
-fn legacy_missing_meta_is_io_error() {
-    let (dir, _idx) = legacy_store("legacy-nometa", 61);
-    std::fs::remove_file(dir.join("meta.json")).unwrap();
-    match load_index(dir.path()) {
-        Err(StoreError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
-        other => panic!("expected Io(NotFound), got {other:?}"),
-    }
-}
-
-#[test]
-fn legacy_truncated_graph_is_malformed() {
-    let (dir, _idx) = legacy_store("legacy-truncgraph", 62);
-    let victim = dir.join("shard-001/graph.pwgr");
-    let mut bytes = std::fs::read(&victim).unwrap();
-    bytes.truncate(bytes.len() - 7);
-    std::fs::write(&victim, bytes).unwrap();
-    match load_index(dir.path()) {
-        Err(StoreError::Malformed(msg)) => {
-            assert!(msg.contains("bad graph file"), "unexpected message: {msg}");
-        }
-        other => panic!("expected Malformed, got {other:?}"),
-    }
-}
-
-#[test]
-fn legacy_shard_count_mismatch_is_malformed() {
-    let (dir, _idx) = legacy_store("legacy-shardcount", 63);
-    std::fs::remove_dir_all(dir.join("shard-001")).unwrap();
-    match load_index(dir.path()) {
-        Err(StoreError::Malformed(msg)) => {
-            assert!(msg.contains("shard-count mismatch"), "unexpected message: {msg}");
-        }
-        other => panic!("expected Malformed, got {other:?}"),
-    }
-}
-
-#[test]
-fn legacy_dim_mismatch_is_malformed() {
-    let (dir, _idx) = legacy_store("legacy-dim", 64);
-    // Rewrite shard 0's vectors with a different dimensionality.
-    let narrow = pathweaver::vector::VectorSet::from_fn(10, 3, |r, c| (r * 3 + c) as f32);
-    write_fvecs(std::fs::File::create(dir.join("shard-000/vectors.fvecs")).unwrap(), &narrow)
-        .unwrap();
-    match load_index(dir.path()) {
-        Err(StoreError::Malformed(msg)) => {
-            assert!(msg.contains("dim"), "unexpected message: {msg}");
-        }
-        other => panic!("expected Malformed, got {other:?}"),
-    }
 }

@@ -107,7 +107,7 @@ proptest! {
         let id = idx.insert(&decoy);
         let with_decoy = idx.search_pipelined(&queries, &params);
         prop_assert!(with_decoy.results[0].contains(&id), "decoy not found after insert");
-        prop_assert!(idx.delete(id));
+        prop_assert_eq!(idx.delete_outcome(id), DeleteOutcome::Applied);
         let after = idx.search_pipelined(&queries, &params);
         prop_assert!(!after.results[0].contains(&id), "tombstoned decoy returned");
         // Insertion permanently rewires a few reverse edges, so the graph is

@@ -5,13 +5,38 @@
 
 use std::sync::Arc;
 
-use pathweaver::core::serve::{serve_once, ServeConfig, Server};
+use pathweaver::core::serve::{QueryResult, ServeConfig, Server};
 use pathweaver::prelude::*;
+use pathweaver::search::BatchStats;
 
 fn serve_all(server: &Server, queries: &pathweaver::vector::VectorSet) -> Vec<Vec<(f32, u32)>> {
     let tickets: Vec<_> =
         (0..queries.len()).map(|r| server.try_submit(queries.row(r)).unwrap()).collect();
     tickets.into_iter().map(|t| t.wait().unwrap().hits).collect()
+}
+
+/// Serves `queries` through a `Server` sized to the batch, which flushes on
+/// size alone, so the rows ride one micro-batch; returns each row's hits and
+/// the batch's stats.
+fn serve_as_one_batch(
+    idx: &Arc<PathWeaverIndex>,
+    queries: &pathweaver::vector::VectorSet,
+    params: SearchParams,
+) -> (Vec<Vec<(f32, u32)>>, BatchStats) {
+    let config = ServeConfig {
+        max_batch: queries.len(),
+        queue_capacity: queries.len(),
+        flush_interval_ms: 3_600_000.0,
+        params,
+        ..ServeConfig::default()
+    };
+    let server = Server::new(Arc::clone(idx), config).unwrap();
+    let results: Vec<QueryResult> =
+        server.submit_batch(queries).unwrap().into_iter().map(|t| t.wait().unwrap()).collect();
+    server.shutdown();
+    assert!(results.iter().all(|r| r.batch_id == results[0].batch_id), "batch was split");
+    let stats = results[0].stats;
+    (results.into_iter().map(|r| r.hits).collect(), stats)
 }
 
 /// Serializes tests that pin `PATHWEAVER_THREADS`; parallel test threads
@@ -56,11 +81,10 @@ fn serve_stream_is_bit_identical_to_search_pipelined() {
             );
             let params = SearchParams::default();
             let direct = idx.search_pipelined(&w.queries, &params);
-            let served = serve_once(&idx, &w.queries, &params).unwrap();
+            let (served, stats) = serve_as_one_batch(&idx, &w.queries, params);
             let label = format!("{devices} devices");
-            assert_hits_identical(&direct.hits, &served.hits, &label);
-            assert_eq!(direct.stats, served.stats, "{label}: stats diverged");
-            assert_eq!(direct.results, served.results, "{label}: result ids diverged");
+            assert_hits_identical(&direct.hits, &served, &label);
+            assert_eq!(direct.stats, stats, "{label}: stats diverged");
         }
     });
 }
@@ -102,10 +126,10 @@ fn serve_handles_fewer_queries_than_devices() {
             Arc::new(PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(4)).unwrap());
         let params = SearchParams::default();
         let direct = idx.search_pipelined(&w.queries, &params);
-        let served = serve_once(&idx, &w.queries, &params).unwrap();
-        assert_hits_identical(&direct.hits, &served.hits, "1 query / 4 devices");
-        assert_eq!(direct.stats, served.stats);
-        assert!(!served.hits[0].is_empty());
+        let (served, stats) = serve_as_one_batch(&idx, &w.queries, params);
+        assert_hits_identical(&direct.hits, &served, "1 query / 4 devices");
+        assert_eq!(direct.stats, stats);
+        assert!(!served[0].is_empty());
     });
 }
 

@@ -5,7 +5,7 @@
 mod common;
 
 use common::TempStore;
-use pathweaver::core::store::{is_segment_store, load_index, save_index};
+use pathweaver::core::store::{load_index, save_index, SEGMENT_FILE};
 use pathweaver::prelude::*;
 
 #[test]
@@ -19,7 +19,7 @@ fn save_update_save_load_keeps_working() {
     let mut reloaded = load_index(dir.path()).unwrap();
     let novel: Vec<f32> = w.base.row(3).iter().map(|x| x + 0.005).collect();
     let new_id = reloaded.insert(&novel);
-    assert!(reloaded.delete(w.base.len() as u32 / 2));
+    assert_eq!(reloaded.delete_outcome(w.base.len() as u32 / 2), DeleteOutcome::Applied);
 
     // Save the mutated index over the first snapshot and reload again.
     save_index(&reloaded, dir.path()).unwrap();
@@ -45,7 +45,7 @@ fn maintain_then_save_load_searches_identically() {
     let victims: Vec<u32> =
         idx.shards[0].global_ids.iter().copied().step_by(2).take(idx.shards[0].len() / 2).collect();
     for &g in &victims {
-        idx.delete(g);
+        idx.delete_outcome(g);
     }
     assert_eq!(idx.maintain(0.3).unwrap(), 1);
     let dir = TempStore::new("maintain");
@@ -68,7 +68,7 @@ fn single_device_index_roundtrips_without_intershard() {
     let idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(1)).unwrap();
     let dir = TempStore::new("single");
     save_index(&idx, dir.path()).unwrap();
-    assert!(is_segment_store(dir.path()), "save_index writes the segment format");
+    assert!(dir.join(SEGMENT_FILE).exists(), "save_index writes the segment format");
     let loaded = load_index(dir.path()).unwrap();
     assert!(loaded.shards[0].intershard.is_none());
     assert!(loaded.shards[0].ghost.is_some());

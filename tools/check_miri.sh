@@ -10,13 +10,15 @@
 # Degrades to skip-with-notice when a nightly toolchain with Miri is not
 # installed (the offline CI image may not carry one): exits 0 after printing
 # the notice, so the leg is advisory where Miri is unavailable and blocking
-# where it is.
+# where it is. The notice is also a GitHub Actions `::warning` annotation,
+# so a skipped leg shows in the run summary instead of passing silently.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if ! cargo +nightly miri --version >/dev/null 2>&1; then
     echo "check_miri: SKIPPED — no nightly toolchain with Miri available" >&2
+    echo "::warning title=Miri leg skipped::no nightly toolchain with Miri available; unsafe code was not checked under Miri"
     echo "check_miri: install with 'rustup +nightly component add miri' to enable" >&2
     exit 0
 fi

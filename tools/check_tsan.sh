@@ -9,13 +9,16 @@
 #
 # -Z sanitizer is nightly-only; like check_miri.sh this degrades to
 # skip-with-notice when no nightly toolchain is installed, so the leg is
-# advisory where the toolchain is missing and blocking where it exists.
+# advisory where the toolchain is missing and blocking where it exists. A
+# skip also prints a GitHub Actions `::warning` annotation so it shows in
+# the run summary.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if ! cargo +nightly --version >/dev/null 2>&1; then
     echo "check_tsan: SKIPPED — no nightly toolchain available" >&2
+    echo "::warning title=TSan leg skipped::no nightly toolchain available; the pool and obs registry were not checked under ThreadSanitizer"
     echo "check_tsan: install with 'rustup toolchain install nightly' to enable" >&2
     exit 0
 fi
@@ -23,6 +26,7 @@ fi
 host="$(rustc -vV | sed -n 's/^host: //p')"
 if ! rustup +nightly component list 2>/dev/null | grep -q 'rust-src.*(installed)'; then
     echo "check_tsan: SKIPPED — nightly rust-src component missing (needed for -Zbuild-std)" >&2
+    echo "::warning title=TSan leg skipped::nightly rust-src component missing (needed for -Zbuild-std); ThreadSanitizer did not run"
     exit 0
 fi
 
