@@ -2,7 +2,10 @@
 //! durable index store, emitting machine-readable `store_report.json`.
 //!
 //! A durable store (segment + WAL with pending inserts and a delete) is
-//! built once; every case then damages a copy of it and reopens:
+//! built once through the one writer, `ConcurrentIndex::durable`; every case
+//! then damages a copy of it and reopens it the way a serving process does
+//! (`DurableIndex::open`, handed to `ConcurrentIndex::durable`, read through
+//! `pin()`):
 //!
 //! - **WAL truncation** at every record boundary plus fuzzed interior
 //!   offsets. Reopen must succeed, replay exactly the intact record prefix,
@@ -32,7 +35,9 @@ use pathweaver_core::store::segment::{
     KIND_VECTORS, TOC_ENTRY_LEN,
 };
 use pathweaver_core::store::{StoreError, SEGMENT_FILE, WAL_FILE};
-use pathweaver_core::{DeleteOutcome, DurableIndex, PathWeaverConfig, PathWeaverIndex};
+use pathweaver_core::{
+    ConcurrentIndex, DeleteOutcome, DurableIndex, PathWeaverConfig, PathWeaverIndex,
+};
 use pathweaver_datasets::{DatasetProfile, Scale};
 use pathweaver_search::SearchParams;
 use rand::Rng;
@@ -59,8 +64,10 @@ impl Matrix {
     /// What a reopen attempt did, reduced to the contract's vocabulary.
     fn reopen(&self) -> Outcome {
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            DurableIndex::open(&self.work)
-                .map(|ix| ix.search_pipelined(&self.queries, &SearchParams::default()).results)
+            DurableIndex::open(&self.work).map(|store| {
+                let ix = ConcurrentIndex::durable(store);
+                ix.pin().index().search_pipelined(&self.queries, &SearchParams::default()).results
+            })
         }));
         match caught {
             Err(_) => Outcome::Panicked,
@@ -134,10 +141,13 @@ fn build_matrix(root: &Path, seed: u64) -> Matrix {
         .expect("matrix index builds");
     let pristine = root.join("pristine");
     std::fs::create_dir_all(&pristine).expect("create pristine dir");
-    let mut durable = DurableIndex::create(idx, &pristine).expect("create durable store");
+    let durable = ConcurrentIndex::durable(
+        DurableIndex::create(idx, &pristine).expect("create durable store"),
+    );
 
     let params = SearchParams::default();
-    let snap = |ix: &PathWeaverIndex| ix.search_pipelined(&w.queries, &params).results;
+    let snap =
+        |ix: &ConcurrentIndex| ix.pin().index().search_pipelined(&w.queries, &params).results;
     let wal_len = || std::fs::metadata(pristine.join(WAL_FILE)).expect("wal meta").len() as usize;
 
     let mut record_ends = vec![wal_len()];

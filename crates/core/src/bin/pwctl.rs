@@ -277,9 +277,10 @@ fn verify(flags: &BTreeMap<String, String>) {
 fn compact(flags: &BTreeMap<String, String>) {
     let dir = req(flags, "index");
     let sw = pathweaver_obs::Stopwatch::start();
-    // Loading replays the WAL; saving writes a fresh segment + empty WAL.
-    let index = load_index(dir).unwrap_or_else(|e| fail(e));
-    save_index(&index, dir).unwrap_or_else(|e| fail(e));
+    // Opening replays the WAL; the writer's fold writes a fresh segment and
+    // resets the WAL.
+    let store = DurableIndex::open(dir).unwrap_or_else(|e| fail(e));
+    ConcurrentIndex::durable(store).compact().unwrap_or_else(|e| fail(e));
     println!("compacted {dir} in {:.1}s (wal folded into a fresh segment)", sw.elapsed_secs());
 }
 

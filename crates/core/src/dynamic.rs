@@ -8,16 +8,12 @@
 //! it keeps serving as a bridge, preserving connectivity exactly as the
 //! paper suggests.
 //!
-//! [`DurableIndex`] wraps the same mutations with write-ahead durability:
-//! every insert/delete is appended (and fsynced) to the store's WAL *before*
-//! it is applied, so a crash at any point loses at most the unacknowledged
-//! mutation, and [`DurableIndex::open`] replays the log back onto the
-//! segment.
+//! These are the in-place mutations the single writer,
+//! [`crate::snapshot::ConcurrentIndex`], applies to its master copy (and
+//! WAL replay applies on recovery); durability and publication live there.
 
 use crate::index::PathWeaverIndex;
-use crate::store::{self, wal, StoreError};
 use pathweaver_graph::greedy_search;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// What a [`PathWeaverIndex::delete_outcome`] call actually did.
@@ -420,144 +416,6 @@ pub(crate) fn rebuild_shard(
         ghost,
         intershard: None,
         deleted,
-    }
-}
-
-/// A store-backed index whose mutations are durable.
-///
-/// The crash-recovery contract: after [`DurableIndex::insert`] or
-/// [`DurableIndex::delete_outcome`] returns, the mutation survives any crash —
-/// kill the process at an arbitrary WAL byte offset, [`DurableIndex::open`]
-/// the directory again, and searches return results bitwise-identical to an
-/// index that never saw the torn record (the torn tail is truncated away on
-/// open). Reads go through [`std::ops::Deref`]; there is deliberately no
-/// `DerefMut`, so every mutation funnels through the log.
-#[derive(Debug)]
-pub struct DurableIndex {
-    index: PathWeaverIndex,
-    wal: wal::WalWriter,
-    dir: PathBuf,
-}
-
-impl std::ops::Deref for DurableIndex {
-    type Target = PathWeaverIndex;
-
-    fn deref(&self) -> &PathWeaverIndex {
-        &self.index
-    }
-}
-
-impl DurableIndex {
-    /// Persists a freshly built `index` under `dir` (segment + empty WAL)
-    /// and returns the durable handle. An existing store at `dir` is
-    /// replaced.
-    ///
-    /// # Errors
-    ///
-    /// IO failures.
-    pub fn create(index: PathWeaverIndex, dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        store::save_index(&index, &dir)?;
-        let wal = wal::WalWriter::open_append(dir.join(store::WAL_FILE))?;
-        Ok(Self { index, wal, dir })
-    }
-
-    /// Opens the store at `dir`: loads the segment, replays the WAL, and
-    /// **repairs** any torn tail on disk (truncates it away) so appends
-    /// continue from the last durable record.
-    ///
-    /// # Errors
-    ///
-    /// IO failures ([`StoreError::Io`] with `NotFound` when `dir` holds no
-    /// segment or no WAL; nothing is created then), or
-    /// [`StoreError::Corrupt`] for checksum violations.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        let mut index = store::segment::read_segment(dir.join(store::SEGMENT_FILE))?;
-        let wal_path = dir.join(store::WAL_FILE);
-        let replay = wal::read_wal(&wal_path)?;
-        if replay.dim != index.dim() {
-            return Err(StoreError::Corrupt {
-                offset: 8,
-                detail: format!(
-                    "wal dim {} disagrees with segment dim {}",
-                    replay.dim,
-                    index.dim()
-                ),
-            });
-        }
-        wal::apply_records(&mut index, &replay.records)?;
-        if replay.torn_bytes > 0 {
-            wal::truncate_tail(&wal_path, replay.valid_len)?;
-        }
-        let wal = wal::WalWriter::open_append(&wal_path)?;
-        Ok(Self { index, wal, dir })
-    }
-
-    /// Durably inserts a vector, returning its new global id. The WAL
-    /// append (with fsync) happens before the in-memory mutation, so an
-    /// acknowledged insert is never lost.
-    ///
-    /// # Errors
-    ///
-    /// IO failures; the index is unchanged on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vector.len()` differs from the index dimensionality.
-    pub fn insert(&mut self, vector: &[f32]) -> Result<u32, StoreError> {
-        assert_eq!(vector.len(), self.index.dim(), "dimensionality mismatch");
-        let expected_id = self.index.num_vectors as u32;
-        self.wal.append_insert(expected_id, vector)?;
-        let got = self.index.insert(vector);
-        debug_assert_eq!(got, expected_id);
-        Ok(got)
-    }
-
-    /// Durably tombstones a global id, reporting the [`DeleteOutcome`].
-    /// Logged before it is applied, like inserts, and logged even for no-op
-    /// outcomes — replay is idempotent (`AlreadyDeleted`/`Unknown` replays
-    /// change nothing), and logging unconditionally keeps the WAL a faithful
-    /// mutation history.
-    ///
-    /// # Errors
-    ///
-    /// IO failures; the index is unchanged on error.
-    pub fn delete_outcome(&mut self, global_id: u32) -> Result<DeleteOutcome, StoreError> {
-        self.wal.append_delete(global_id)?;
-        Ok(self.index.delete_outcome(global_id))
-    }
-
-    /// Folds the WAL into a fresh segment and resets the log. The segment
-    /// is replaced atomically (temp file + rename); a crash between the
-    /// rename and the WAL reset is benign because replay is idempotent
-    /// (see [`wal::apply_records`]).
-    ///
-    /// # Errors
-    ///
-    /// IO failures.
-    pub fn compact(&mut self) -> Result<(), StoreError> {
-        store::segment::write_segment(&self.index, self.dir.join(store::SEGMENT_FILE))?;
-        self.wal = wal::WalWriter::create(self.dir.join(store::WAL_FILE), self.index.dim())?;
-        Ok(())
-    }
-
-    /// The store directory this handle is bound to.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Consumes the handle, returning the in-memory index.
-    pub fn into_index(self) -> PathWeaverIndex {
-        self.index
-    }
-
-    /// Consumes the handle, returning the index, the open WAL writer, and
-    /// the store directory. Used by [`crate::snapshot::ConcurrentIndex`] to
-    /// take over the WAL-before-publish ordering while keeping the same
-    /// on-disk contract.
-    pub fn into_parts(self) -> (PathWeaverIndex, wal::WalWriter, PathBuf) {
-        (self.index, self.wal, self.dir)
     }
 }
 

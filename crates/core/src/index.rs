@@ -358,26 +358,6 @@ impl PathWeaverIndex {
     pub fn dim(&self) -> usize {
         self.shards[0].vectors.dim()
     }
-
-    /// Saves the index under `dir` in the durable segment format
-    /// ([`crate::store::save_index`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::store::save_index`].
-    pub fn save(&self, dir: impl AsRef<std::path::Path>) -> Result<(), crate::store::StoreError> {
-        crate::store::save_index(self, dir)
-    }
-
-    /// Loads an index saved by [`save`](Self::save)
-    /// ([`crate::store::load_index`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::store::load_index`].
-    pub fn load(dir: impl AsRef<std::path::Path>) -> Result<Self, crate::store::StoreError> {
-        crate::store::load_index(dir)
-    }
 }
 
 /// Output of a framework-level search (any mode).

@@ -24,14 +24,16 @@
 //!   partitions to nodes, N-way replication with read fan-out, health
 //!   checks and failover; a 1-node cluster is bit-identical to
 //!   [`serve::serve_once`].
-//! - [`dynamic`]: shard-local insertions and logical deletions (§6.2), and
-//!   [`DurableIndex`] — the same mutations under write-ahead durability.
-//! - [`snapshot`]: snapshot-isolated concurrent mutation —
-//!   [`snapshot::ConcurrentIndex`] lets searches pin immutable
-//!   point-in-time snapshots while inserts/deletes stream and a background
-//!   maintainer rebuilds heavily-deleted shards off the hot path.
+//! - [`dynamic`]: shard-local insertions, logical deletions and shard
+//!   rebuilds (§6.2).
+//! - [`snapshot`]: the one writer — [`snapshot::ConcurrentIndex`] applies
+//!   every mutation, publishes immutable point-in-time snapshots that
+//!   searches pin, appends to the WAL first when the index is durable, and
+//!   folds the WAL into the segment. A static index is a snapshot that is
+//!   never republished.
 //! - [`store`]: the durable index store — one checksummed zero-copy segment
-//!   file plus a write-ahead log.
+//!   file plus a write-ahead log, recovered by [`store::load_index`] or
+//!   [`DurableIndex::open`].
 //! - [`report`]: JSON experiment records for the reproduction harness.
 //!
 //! # Quickstart
@@ -74,25 +76,25 @@ pub mod store;
 
 pub use cluster::{ClusterError, ClusterOutput, LocalCluster, Router};
 pub use config::{ClusterConfig, PathWeaverConfig};
-pub use dynamic::{DeleteOutcome, DurableIndex, MaintainError};
+pub use dynamic::{DeleteOutcome, MaintainError};
 pub use index::{PathWeaverIndex, SearchOutput, ShardIndex};
 pub use serve::{QueryResult, QueryTicket, ServeConfig, ServeError, Server, SubmitError};
 pub use snapshot::{ConcurrentError, ConcurrentIndex, IndexSnapshot, MaintainerHandle};
-pub use store::{StoreError, StoreReport};
+pub use store::{DurableIndex, StoreError, StoreReport};
 
 /// Convenience re-exports for downstream users.
 pub mod prelude {
     pub use crate::baselines::{CagraBaseline, GgnnBaseline, HnswBaseline};
     pub use crate::cluster::{ClusterError, ClusterOutput, LocalCluster, Router, TransportKind};
     pub use crate::config::{ClusterConfig, PathWeaverConfig};
-    pub use crate::dynamic::{DeleteOutcome, DurableIndex, MaintainError};
+    pub use crate::dynamic::{DeleteOutcome, MaintainError};
     pub use crate::eval::{qps_at_recall, sweep_beam, sweep_iterations, SweepPoint};
     pub use crate::index::{PathWeaverIndex, SearchOutput, ShardIndex};
     pub use crate::serve::{
         QueryResult, QueryTicket, ServeConfig, ServeError, Server, SubmitError,
     };
     pub use crate::snapshot::{ConcurrentError, ConcurrentIndex, IndexSnapshot, MaintainerHandle};
-    pub use crate::store::{StoreError, StoreReport};
+    pub use crate::store::{DurableIndex, StoreError, StoreReport};
     pub use pathweaver_datasets::{recall_batch, DatasetProfile, Scale, Workload};
     pub use pathweaver_gpusim::{CostModel, DeviceSpec, RingTopology};
     pub use pathweaver_search::{DgsParams, SearchParams};

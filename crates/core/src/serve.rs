@@ -32,19 +32,18 @@
 //! determinism for bounded latency: whether a stage is skipped depends on
 //! wall-clock time.
 //!
-//! **Snapshot pinning.** Every batch resolves its index exactly once, at
-//! flush time: a [`Server::new`] server pins the same `Arc` for every batch
-//! (bit-identical to serving the index directly), while a
-//! [`Server::new_dynamic`] server pins the latest
-//! [`IndexSnapshot`](crate::snapshot::IndexSnapshot) from a
-//! [`ConcurrentIndex`] — concurrent inserts/deletes/rebuilds never touch a
-//! batch mid-flight, and the batch's staleness is observable as the
-//! `serve.snapshot_lag` histogram (published versions behind at
-//! completion) next to the `serve.merge_backlog` gauge.
+//! **Snapshot pinning.** Every batch pins the latest [`IndexSnapshot`] of a
+//! [`ConcurrentIndex`] exactly once, at flush time, so concurrent
+//! inserts/deletes/rebuilds never touch a batch mid-flight. The batch's
+//! staleness is observable as the `serve.snapshot_lag` histogram (published
+//! versions behind at completion) next to the `serve.merge_backlog` gauge.
+//! [`Server::new`] serves a static index through the same path: the index
+//! is version 0 of a `ConcurrentIndex` that is never written, so every
+//! batch pins the caller's own `Arc`.
 
 use crate::index::{PathWeaverIndex, SearchOutput};
 use crate::pipeline::{make_chunks, reduce_chunks, ChunkState};
-use crate::snapshot::ConcurrentIndex;
+use crate::snapshot::{ConcurrentIndex, IndexSnapshot};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use pathweaver_gpusim::{BatchHandle, CostModel, PipelineTimeline, RingExecutor, RingMessage};
@@ -132,9 +131,10 @@ impl std::error::Error for SubmitError {}
 pub enum ServeError {
     /// An OS-level thread spawn failed while starting the server.
     Spawn(std::io::Error),
-    /// The server tore down without delivering an accepted query. Shutdown
-    /// drains every accepted ticket, so this indicates a server-thread
-    /// panic; the query's result is unrecoverable.
+    /// The server answered an accepted query without a result: a stage
+    /// panicked on the query's batch, or a server thread died. Shutdown
+    /// drains every accepted ticket, so nothing else produces it; the
+    /// query's result is unrecoverable.
     Disconnected,
     /// A submission was rejected.
     Submit(SubmitError),
@@ -144,7 +144,9 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Spawn(e) => write!(f, "cannot spawn serving thread: {e}"),
-            Self::Disconnected => f.write_str("server tore down without delivering"),
+            Self::Disconnected => {
+                f.write_str("query batch failed or server tore down without delivering")
+            }
             Self::Submit(e) => write!(f, "submission rejected: {e}"),
         }
     }
@@ -196,9 +198,9 @@ impl QueryTicket {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Disconnected`] when the server was torn down without
-    /// delivering — shutdown drains every accepted query, so this indicates
-    /// a server-thread panic.
+    /// [`ServeError::Disconnected`] when the query's batch failed (a stage
+    /// panicked) or the server was torn down without delivering — shutdown
+    /// drains every accepted query, so only a panic produces it.
     pub fn wait(self) -> Result<QueryResult, ServeError> {
         self.rx.recv().map_err(|_| ServeError::Disconnected)
     }
@@ -209,58 +211,14 @@ impl QueryTicket {
     }
 }
 
-/// Where a server's batches get their index view from.
-#[derive(Clone)]
-enum ServeSource {
-    /// A frozen index: every batch reads the same `Arc`. Identical to the
-    /// historical single-index server.
-    Static(Arc<PathWeaverIndex>),
-    /// A snapshot-isolated dynamic index: each batch pins the snapshot
-    /// published at its flush instant and keeps it for the whole batch.
-    Dynamic(Arc<ConcurrentIndex>),
-}
-
-impl ServeSource {
-    /// Resolves the index view one batch will use, plus its snapshot
-    /// version (0 for static sources).
-    fn pin_batch(&self) -> (Arc<PathWeaverIndex>, u64) {
-        match self {
-            Self::Static(index) => (Arc::clone(index), 0),
-            Self::Dynamic(index) => {
-                let snap = index.pin();
-                (Arc::clone(snap.index()), snap.version())
-            }
-        }
-    }
-
-    /// How many snapshot publications a batch pinned at `pinned` is behind;
-    /// `None` for static sources (nothing can lag).
-    fn snapshot_lag(&self, pinned: u64) -> Option<u64> {
-        match self {
-            Self::Static(_) => None,
-            Self::Dynamic(index) => Some(index.latest_version().saturating_sub(pinned)),
-        }
-    }
-
-    /// Mutations the dynamic source has not folded yet; `None` for static.
-    fn merge_backlog(&self) -> Option<u64> {
-        match self {
-            Self::Static(_) => None,
-            Self::Dynamic(index) => Some(index.merge_backlog()),
-        }
-    }
-}
-
-/// Shared per-batch context: the formed queries, the pinned index view,
+/// Shared per-batch context: the formed queries, the pinned snapshot,
 /// and deadline state.
 struct BatchCtx {
     queries: VectorSet,
     params: SearchParams,
-    /// The index view every stage of this batch reads — pinned at flush,
+    /// The snapshot every stage of this batch reads — pinned at flush,
     /// immutable for the batch's lifetime.
-    index: Arc<PathWeaverIndex>,
-    /// Snapshot version of `index` (0 on static servers).
-    pinned_version: u64,
+    snapshot: Arc<IndexSnapshot>,
     trace_batch: u64,
     /// `(started at flush, budget in ms)`.
     deadline: Option<(Stopwatch, f64)>,
@@ -289,8 +247,8 @@ struct AdmissionState {
 struct ServerInner {
     config: ServeConfig,
     dim: usize,
-    /// Index provider; batches pin their view from it at flush time.
-    source: ServeSource,
+    /// Batches pin their snapshot from it at flush time.
+    index: Arc<ConcurrentIndex>,
     state: Mutex<AdmissionState>,
     /// Wakes the admission thread on arrivals and shutdown.
     wakeup: Condvar,
@@ -340,7 +298,7 @@ impl Server {
     ///
     /// Panics when `config` fails [`ServeConfig::validate`].
     pub fn new(index: Arc<PathWeaverIndex>, config: ServeConfig) -> Result<Self, ServeError> {
-        Self::with_source(ServeSource::Static(index), config)
+        Self::new_dynamic(Arc::new(ConcurrentIndex::from_arc(index, None, None)), config)
     }
 
     /// Starts a server over a snapshot-isolated dynamic index: each batch
@@ -352,20 +310,19 @@ impl Server {
     /// # Errors
     ///
     /// As [`Server::new`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Server::new`].
     pub fn new_dynamic(
         index: Arc<ConcurrentIndex>,
         config: ServeConfig,
     ) -> Result<Self, ServeError> {
-        Self::with_source(ServeSource::Dynamic(index), config)
-    }
-
-    /// Starts the serving threads over either index source; see
-    /// [`Server::new`].
-    fn with_source(source: ServeSource, config: ServeConfig) -> Result<Self, ServeError> {
         config.validate();
         // The device count, cost model, and dimensionality are fixed for
         // the server's lifetime: snapshots never change shard count or dim.
-        let (initial, _) = source.pin_batch();
+        let pinned = index.pin();
+        let initial = pinned.index();
         let n = initial.num_devices();
         let cost = CostModel::new(initial.config.device);
         let executor =
@@ -383,7 +340,7 @@ impl Server {
                 }
                 // The batch's pinned view, not a server-global index: every
                 // stage of this batch reads the same snapshot.
-                ctx.index.run_stage(
+                ctx.snapshot.index().run_stage(
                     device,
                     stage,
                     msg.origin_chunk,
@@ -398,7 +355,7 @@ impl Server {
         let inner = Arc::new(ServerInner {
             config,
             dim: initial.dim(),
-            source,
+            index,
             state: Mutex::new(AdmissionState { pending: VecDeque::new(), shutting_down: false }),
             wakeup: Condvar::new(),
         });
@@ -414,10 +371,10 @@ impl Server {
         };
         let completion = {
             let timeline = Arc::clone(&timeline);
-            let lag_source = inner.source.clone();
+            let index = Arc::clone(&inner.index);
             let spawned = std::thread::Builder::new()
                 .name("pathweaver-completion".into())
-                .spawn(move || completion_loop(&job_rx, &timeline, &lag_source));
+                .spawn(move || completion_loop(&job_rx, &timeline, &index));
             match spawned {
                 Ok(h) => h,
                 Err(e) => {
@@ -594,13 +551,11 @@ fn admission_loop(
         // Pin the batch's index view exactly once, at flush: every stage
         // and the final reduction read this snapshot, whatever mutations
         // land while the batch is in flight.
-        let (index, pinned_version) = inner.source.pin_batch();
         let ctx = Arc::new(BatchCtx {
             deadline: inner.config.deadline_ms.map(|ms| (Stopwatch::start(), ms)),
             queries,
             params: inner.config.params,
-            index,
-            pinned_version,
+            snapshot: inner.index.pin(),
             trace_batch,
             expired: AtomicBool::new(false),
         });
@@ -622,11 +577,16 @@ fn admission_loop(
 fn completion_loop(
     job_rx: &Receiver<BatchJob>,
     timeline: &Mutex<PipelineTimeline>,
-    source: &ServeSource,
+    index: &ConcurrentIndex,
 ) {
     while let Ok(job) = job_rx.recv() {
         let batch_id = job.handle.batch_id();
-        let (finished, batch_timeline) = job.handle.wait();
+        let Ok((finished, batch_timeline)) = job.handle.wait() else {
+            // A stage panicked on this batch. Dropping its result senders
+            // answers every ticket with `ServeError::Disconnected`; the ring
+            // keeps serving the next batch.
+            continue;
+        };
         timeline.lock().extend(&batch_timeline);
         let messages: Vec<RingMessage<ChunkState>> = finished
             .into_iter()
@@ -642,15 +602,11 @@ fn completion_loop(
             if timed_out {
                 r.counter("serve.timeouts").inc();
             }
-            // Dynamic sources: how stale this batch's pinned snapshot is by
-            // the time it answers, and the mutation backlog the maintainer
-            // has not folded yet.
-            if let Some(lag) = source.snapshot_lag(job.ctx.pinned_version) {
-                r.histogram("serve.snapshot_lag").record(lag);
-            }
-            if let Some(backlog) = source.merge_backlog() {
-                r.gauge("serve.merge_backlog").set(backlog as f64);
-            }
+            // How stale this batch's pinned snapshot is by the time it
+            // answers, and the mutation backlog not folded yet.
+            let lag = index.latest_version().saturating_sub(job.ctx.snapshot.version());
+            r.histogram("serve.snapshot_lag").record(lag);
+            r.gauge("serve.merge_backlog").set(index.merge_backlog() as f64);
         }
         for (hits, (tx, enqueued)) in hits_by_row.into_iter().zip(job.tickets) {
             if pathweaver_obs::enabled() {

@@ -1,24 +1,31 @@
-//! Snapshot-isolated concurrent mutation (MVCC, the ROADMAP's "live index"
-//! item).
+//! The one writer: snapshot-isolated mutation (MVCC) with optional
+//! write-ahead durability.
 //!
 //! [`PathWeaverIndex`]'s mutations take `&mut self`, so under the serving
-//! layer a single insert stalls every in-flight search. [`ConcurrentIndex`]
-//! removes that coupling with a multi-version scheme built on the index's
-//! shard-granular copy-on-write spine (`Vec<Arc<ShardIndex>>`):
+//! layer a single insert would stall every in-flight search.
+//! [`ConcurrentIndex`] removes that coupling with a multi-version scheme
+//! built on the index's shard-granular copy-on-write spine
+//! (`Vec<Arc<ShardIndex>>`), and it is the only code that mutates an index
+//! someone may be reading:
 //!
 //! - **Readers pin, never lock.** [`ConcurrentIndex::pin`] hands out the
 //!   current [`IndexSnapshot`] — an immutable point-in-time view (shards,
 //!   tombstone bitmaps, assignment) behind an `Arc`. A search batch pins
 //!   once and reads the same snapshot for its whole lifetime; no torn
-//!   tombstone words, no half-published delta, ever.
+//!   tombstone words, no half-published delta, ever. A static index is the
+//!   degenerate case: version 0, never republished.
 //! - **Writers serialize and publish atomically.** Mutations run against a
 //!   private writer master under a mutex. The first write after a publish
 //!   copies only the shard it lands on (`Arc::make_mut`); untouched shards
 //!   stay shared with every pinned snapshot. Publication swaps one Arc.
-//! - **WAL-before-publish.** On a durable index the WAL append (fsynced)
-//!   strictly precedes both the master mutation and the publish, so no
-//!   reader can ever observe state the log does not already contain, and
-//!   replay reconstructs the latest published snapshot.
+//! - **WAL-before-publish.** A durable index ([`ConcurrentIndex::durable`])
+//!   carries the store's WAL as a sink: the append (fsynced) strictly
+//!   precedes both the master mutation and the publish, so no reader can
+//!   ever observe state the log does not already contain, and recovery
+//!   ([`DurableIndex::open`]) reconstructs the latest published snapshot.
+//! - **One fold.** [`ConcurrentIndex::compact`] and every maintenance pass
+//!   that installs a rebuild fold the WAL into a fresh segment under the
+//!   writer lock.
 //! - **Background maintenance off the hot path.**
 //!   [`ConcurrentIndex::maintain`] finds heavily-deleted shards and clones
 //!   their Arcs under a short lock, runs the expensive CAGRA rebuilds with
@@ -28,9 +35,9 @@
 //!   publishes. [`ConcurrentIndex::spawn_maintainer`] runs this on a timer
 //!   thread.
 
-use crate::dynamic::{self, DeleteOutcome, DurableIndex, MaintainError};
+use crate::dynamic::{self, DeleteOutcome, MaintainError};
 use crate::index::{PathWeaverIndex, ShardIndex};
-use crate::store::{self, wal, StoreError};
+use crate::store::{self, wal, DurableIndex, StoreError};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,8 +145,8 @@ pub struct ConcurrentIndex {
     /// lock held for nanoseconds, writers replace it after mutating.
     published: RwLock<Arc<IndexSnapshot>>,
     writer: Mutex<WriterState>,
-    /// Mutations applied since the last maintenance fold — the serving
-    /// layer's `serve.merge_backlog` gauge.
+    /// Mutations applied since the last fold (maintenance or compact) —
+    /// the serving layer's `serve.merge_backlog` gauge.
     backlog: AtomicU64,
 }
 
@@ -154,27 +161,36 @@ impl std::fmt::Debug for ConcurrentIndex {
 impl ConcurrentIndex {
     /// Wraps a built index for in-memory concurrent mutation (no WAL).
     pub fn new(index: PathWeaverIndex) -> Self {
-        Self::from_parts(index, None, None)
+        Self::from_arc(Arc::new(index), None, None)
     }
 
-    /// Wraps a [`DurableIndex`], taking over its WAL: every mutation keeps
-    /// the WAL-before-publish ordering, and maintenance folds the log into
-    /// the segment exactly like [`DurableIndex::compact`].
+    /// Takes over a recovered store: the WAL becomes the writer's durability
+    /// sink, and folds rewrite the store's segment.
+    ///
+    /// The crash-recovery contract: once [`insert`](Self::insert) or
+    /// [`delete_outcome`](Self::delete_outcome) returns, the mutation
+    /// survives any crash. Kill the process at an arbitrary WAL byte offset,
+    /// [`DurableIndex::open`] the directory again, and searches return
+    /// results bitwise-identical to an index that never saw the torn record
+    /// (the torn tail is truncated away on open).
     pub fn durable(index: DurableIndex) -> Self {
         let (index, wal, dir) = index.into_parts();
-        Self::from_parts(index, Some(wal), Some(dir))
+        Self::from_arc(Arc::new(index), Some(wal), Some(dir))
     }
 
-    fn from_parts(
-        index: PathWeaverIndex,
+    /// Publishes `index` itself as version 0 — a static index is this
+    /// handle with no writes — and seeds the writer master from it. The
+    /// master clone copies the shard spine, never vector or graph payloads.
+    pub(crate) fn from_arc(
+        index: Arc<PathWeaverIndex>,
         wal: Option<wal::WalWriter>,
         dir: Option<PathBuf>,
     ) -> Self {
-        let epochs = vec![0; index.num_devices()];
-        let snapshot = Arc::new(IndexSnapshot { index: Arc::new(index.clone()), version: 0 });
+        let master = PathWeaverIndex::clone(&index);
+        let epochs = vec![0; master.num_devices()];
         Self {
-            published: RwLock::new(snapshot),
-            writer: Mutex::new(WriterState { master: index, wal, dir, epochs }),
+            published: RwLock::new(Arc::new(IndexSnapshot { index, version: 0 })),
+            writer: Mutex::new(WriterState { master, wal, dir, epochs }),
             backlog: AtomicU64::new(0),
         }
     }
@@ -191,7 +207,7 @@ impl ConcurrentIndex {
         self.published.read().version
     }
 
-    /// Mutations applied since the last maintenance fold.
+    /// Mutations applied since the last fold (maintenance or compact).
     pub fn merge_backlog(&self) -> u64 {
         // Relaxed: monotonic stat, reset under the writer lock; nothing is
         // published through it.
@@ -332,15 +348,9 @@ impl ConcurrentIndex {
         }
         if installed > 0 {
             self.fold_locked(&mut st)?;
-            // Relaxed: monotonic stat, reset under the writer lock (held
-            // here); nothing is published through it.
-            self.backlog.store(0, Ordering::Relaxed);
             self.publish(&st);
             if pathweaver_obs::enabled() {
-                let r = pathweaver_obs::registry();
-                r.counter("dyn.delta_folds").inc();
-                r.counter("dyn.rebuilds").add(installed as u64);
-                r.gauge("serve.merge_backlog").set(0.0);
+                pathweaver_obs::registry().counter("dyn.rebuilds").add(installed as u64);
             }
         }
         Ok(installed)
@@ -397,16 +407,39 @@ impl ConcurrentIndex {
         *slot = Arc::new(IndexSnapshot { index, version: slot.version + 1 });
     }
 
-    /// Folds the WAL into a fresh segment (durable indices; no-op
-    /// otherwise). Same crash contract as [`DurableIndex::compact`]: the
-    /// segment is replaced before the WAL resets, and replay is idempotent
-    /// across the window between the two.
+    /// Folds the WAL into a fresh segment and resets the log (durable
+    /// indices; a no-op in memory). The published state does not change, so
+    /// nothing is republished; the merge backlog drops to zero.
+    ///
+    /// The segment is replaced atomically (temp file + rename). A crash
+    /// between the rename and the WAL reset is benign, because replay skips
+    /// inserts the segment already holds and deletes are idempotent (see
+    /// [`wal::apply_records`]).
+    ///
+    /// # Errors
+    ///
+    /// IO failures; the in-memory index is unaffected.
+    pub fn compact(&self) -> Result<(), StoreError> {
+        let mut st = self.writer.lock();
+        self.fold_locked(&mut st)
+    }
+
+    /// The one fold: writes the master to a fresh segment, resets the WAL
+    /// and the merge backlog. Runs under the writer lock, so no mutation
+    /// can land between the segment write and the log reset.
     fn fold_locked(&self, st: &mut WriterState) -> Result<(), StoreError> {
-        let Some(dir) = st.dir.clone() else {
-            return Ok(());
-        };
-        store::segment::write_segment(&st.master, dir.join(store::SEGMENT_FILE))?;
-        st.wal = Some(wal::WalWriter::create(dir.join(store::WAL_FILE), st.master.dim())?);
+        if let Some(dir) = st.dir.clone() {
+            store::segment::write_segment(&st.master, dir.join(store::SEGMENT_FILE))?;
+            st.wal = Some(wal::WalWriter::create(dir.join(store::WAL_FILE), st.master.dim())?);
+        }
+        // Relaxed: monotonic stat, reset under the writer lock (held by the
+        // caller); nothing is published through it.
+        self.backlog.store(0, Ordering::Relaxed);
+        if pathweaver_obs::enabled() {
+            let r = pathweaver_obs::registry();
+            r.counter("dyn.delta_folds").inc();
+            r.gauge("serve.merge_backlog").set(0.0);
+        }
         Ok(())
     }
 }

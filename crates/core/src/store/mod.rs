@@ -11,17 +11,20 @@
 //!   wal.pwal                 append-only mutation log
 //! ```
 //!
-//! [`save_index`] writes a fresh segment and an empty WAL; [`load_index`]
-//! reads the segment and replays the WAL. Mutating under durability
-//! guarantees goes through [`crate::dynamic::DurableIndex`], which appends
-//! to the WAL before acknowledging each mutation and folds the log back
-//! into a fresh segment on `compact`.
+//! [`save_index`] writes a fresh segment and an empty WAL. [`load_index`]
+//! and [`DurableIndex::open`] recover a store through one routine: read the
+//! segment, read the WAL, check that the log belongs to this index, replay
+//! it. The only writer of a store is
+//! [`ConcurrentIndex::durable`](crate::snapshot::ConcurrentIndex::durable):
+//! it appends to the WAL before publishing each mutation and folds the log
+//! back into a fresh segment on maintenance and
+//! [`compact`](crate::snapshot::ConcurrentIndex::compact).
 
 pub mod segment;
 pub mod wal;
 
 use crate::index::PathWeaverIndex;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File name of the segment inside a store directory.
 pub const SEGMENT_FILE: &str = "segment.pwseg";
@@ -84,23 +87,107 @@ pub fn save_index(index: &PathWeaverIndex, dir: impl AsRef<Path>) -> Result<(), 
 
 /// Loads an index saved by [`save_index`] and replays any WAL records onto
 /// it. This is a read-only open (the WAL file itself is not truncated —
-/// open the store through [`crate::dynamic::DurableIndex::open`] to also
-/// repair torn tails on disk).
+/// open the store through [`DurableIndex::open`] to also repair torn tails
+/// on disk). A directory without a WAL loads the segment alone.
 ///
 /// # Errors
 ///
 /// IO failures ([`StoreError::Io`] with `NotFound` when `dir` holds no
 /// segment), or [`StoreError::Corrupt`] on checksum/framing/structural
-/// violations.
+/// violations, including a WAL written for another index.
 pub fn load_index(dir: impl AsRef<Path>) -> Result<PathWeaverIndex, StoreError> {
-    let dir = dir.as_ref();
+    recover(dir.as_ref()).map(|(index, _)| index)
+}
+
+/// The recovery routine behind [`load_index`] and [`DurableIndex::open`]:
+/// reads the segment, scans the WAL when there is one, checks that the log
+/// was written for the segment's dimensionality, and replays its valid
+/// prefix. Returns the recovered index and the WAL scan.
+fn recover(dir: &Path) -> Result<(PathWeaverIndex, Option<wal::WalReplay>), StoreError> {
     let mut index = segment::read_segment(dir.join(SEGMENT_FILE))?;
     let wal_path = dir.join(WAL_FILE);
-    if wal_path.exists() {
-        let replay = wal::read_wal(&wal_path)?;
-        wal::apply_records(&mut index, &replay.records)?;
+    if !wal_path.exists() {
+        return Ok((index, None));
     }
-    Ok(index)
+    let replay = wal::read_wal(&wal_path)?;
+    if replay.dim != index.dim() {
+        // Byte 8 of the WAL header holds its dimensionality.
+        return Err(corrupt(
+            8,
+            format!("wal dim {} disagrees with segment dim {}", replay.dim, index.dim()),
+        ));
+    }
+    wal::apply_records(&mut index, &replay.records)?;
+    Ok((index, Some(replay)))
+}
+
+/// A store directory recovered for durable mutation: the index as of the
+/// last durable WAL record, a WAL writer positioned after that record, and
+/// the directory.
+///
+/// It only creates or recovers a store. Mutations, publication and folds
+/// all run through the one writer,
+/// [`ConcurrentIndex::durable`](crate::snapshot::ConcurrentIndex::durable),
+/// which takes the handle over.
+#[derive(Debug)]
+pub struct DurableIndex {
+    index: PathWeaverIndex,
+    wal: wal::WalWriter,
+    dir: PathBuf,
+}
+
+impl DurableIndex {
+    /// Persists a freshly built `index` under `dir` (segment + empty WAL)
+    /// and returns the durable handle. An existing store at `dir` is
+    /// replaced.
+    ///
+    /// # Errors
+    ///
+    /// IO failures.
+    pub fn create(index: PathWeaverIndex, dir: impl AsRef<Path>) -> Result<Self, StoreError> {
+        let dir = dir.as_ref().to_path_buf();
+        save_index(&index, &dir)?;
+        let wal = wal::WalWriter::open_append(dir.join(WAL_FILE))?;
+        Ok(Self { index, wal, dir })
+    }
+
+    /// Opens the store at `dir`: recovers the index like [`load_index`],
+    /// then **repairs** any torn WAL tail on disk (truncates it away) so
+    /// appends continue from the last durable record.
+    ///
+    /// # Errors
+    ///
+    /// IO failures ([`StoreError::Io`] with `NotFound` when `dir` holds no
+    /// segment or no WAL; nothing is created then), or
+    /// [`StoreError::Corrupt`] as for [`load_index`]. On error the
+    /// directory is left untouched.
+    pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
+        let dir = dir.as_ref().to_path_buf();
+        let (index, replay) = recover(&dir)?;
+        let wal_path = dir.join(WAL_FILE);
+        let replay = replay.ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("no write-ahead log at {}", wal_path.display()),
+            )
+        })?;
+        if replay.torn_bytes > 0 {
+            wal::truncate_tail(&wal_path, replay.valid_len)?;
+        }
+        let wal = wal::WalWriter::open_append(&wal_path)?;
+        Ok(Self { index, wal, dir })
+    }
+
+    /// The store directory this handle is bound to.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// The recovered index, the open WAL writer, and the directory, for the
+    /// writer that takes the store over.
+    pub(crate) fn into_parts(self) -> (PathWeaverIndex, wal::WalWriter, PathBuf) {
+        (self.index, self.wal, self.dir)
+    }
 }
 
 /// A checksum audit of one store directory (see [`verify_store`]).

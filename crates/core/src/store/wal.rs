@@ -1,7 +1,8 @@
 //! Append-only write-ahead log for index mutations.
 //!
 //! The segment file is immutable; every `insert`/`delete` between compactions
-//! is logged here *before* it is acknowledged, so a crash at any byte offset
+//! is logged here *before* it is acknowledged, by the one writer
+//! ([`crate::snapshot::ConcurrentIndex`]), so a crash at any byte offset
 //! loses at most the mutation that never finished writing. File layout:
 //!
 //! ```text
@@ -22,7 +23,7 @@
 //! [`WalReplay::torn_bytes`] — a torn tail is an expected crash artifact,
 //! not corruption, and is never an error. Only the *header* failing
 //! validation is [`StoreError::Corrupt`]. Reading never modifies the file;
-//! [`crate::dynamic::DurableIndex::open`] calls [`truncate_tail`] to repair
+//! [`crate::store::DurableIndex::open`] calls [`truncate_tail`] to repair
 //! the file on disk before appending to it again.
 
 use super::{corrupt, StoreError};
@@ -263,7 +264,7 @@ pub fn truncate_tail(path: impl AsRef<Path>, valid_len: u64) -> Result<(), Store
 /// Replay is idempotent: global ids are allocated monotonically and never
 /// rewound, so an insert whose `expected_id` is below the index's id
 /// high-water mark was already folded into the segment (a crash between
-/// [`crate::dynamic::DurableIndex::compact`]'s segment rename and its WAL
+/// [`crate::snapshot::ConcurrentIndex::compact`]'s segment rename and its WAL
 /// reset leaves exactly such records) and is skipped; deletes re-tombstone
 /// harmlessly.
 ///

@@ -24,10 +24,18 @@
 //! could deadlock once batches stop moving in lock-step. In-flight work is
 //! tracked by a counter so [`RingExecutor`]'s drop can drain before stopping
 //! the threads.
+//!
+//! A panic inside a stage function fails its chunk, not the ring: the device
+//! thread catches it, delivers the chunk as failed (so the in-flight count
+//! still drops) and keeps serving. [`run_ring_stream`] re-raises the panic
+//! on the caller once the batch's other chunks have drained;
+//! [`BatchHandle::wait`] reports it as a [`StageFailed`] value.
 
 use crate::timeline::{PipelineTimeline, StageRecord};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -41,6 +49,43 @@ pub struct RingMessage<T> {
     pub payload: T,
 }
 
+/// A stage function panicked on one chunk of a batch. The chunk left the
+/// ring at that stage; the device thread that caught the panic keeps
+/// serving.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StageFailed {
+    /// Device whose stage function panicked.
+    pub device: usize,
+    /// Stage index at which the chunk failed.
+    pub stage: usize,
+    /// Origin of the failed chunk.
+    pub origin_chunk: usize,
+    /// The panic message, when it was a string.
+    pub message: String,
+}
+
+impl std::fmt::Display for StageFailed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "stage {} of chunk {} panicked on device {}: {}",
+            self.stage, self.origin_chunk, self.device, self.message
+        )
+    }
+}
+
+impl std::error::Error for StageFailed {}
+
+/// A failed chunk as delivered: the report plus the original panic payload,
+/// which [`run_ring_stream`] re-raises.
+struct Failure {
+    report: StageFailed,
+    payload: Box<dyn Any + Send>,
+}
+
+/// What a chunk's final delivery carries.
+type Delivery<T> = Result<RingMessage<T>, Failure>;
+
 /// One unit of device work: a chunk at a specific stage of a specific batch,
 /// plus the channels its records and final state report back on.
 struct Task<T> {
@@ -48,7 +93,7 @@ struct Task<T> {
     stage: usize,
     msg: RingMessage<T>,
     rec_tx: Sender<StageRecord>,
-    fin_tx: Sender<RingMessage<T>>,
+    fin_tx: Sender<Delivery<T>>,
 }
 
 /// What a device queue carries.
@@ -88,7 +133,8 @@ impl Inflight {
 }
 
 /// The device loop both frontends run: take a task, execute its stage, stamp
-/// and emit the record, then forward to the ring successor or deliver.
+/// and emit the record, then forward to the ring successor or deliver. A
+/// stage that panics delivers its chunk as failed at once.
 ///
 /// Sends to `rec_tx`/`fin_tx` ignore disconnects (a caller may drop its
 /// [`BatchHandle`] without waiting); the inflight counter is decremented
@@ -108,34 +154,68 @@ fn device_worker<T, F>(
             DeviceMsg::Stop => break,
             DeviceMsg::Task(t) => t,
         };
-        if let Some(mut record) = stage_fn(device, task.stage, &mut task.msg) {
-            record.batch = task.batch;
-            let _ = task.rec_tx.send(record);
+        // The chunk's payload is dropped, not reused, after a panic, so a
+        // half-updated state is never observed.
+        let ran = catch_unwind(AssertUnwindSafe(|| stage_fn(device, task.stage, &mut task.msg)));
+        match ran {
+            Ok(Some(mut record)) => {
+                record.batch = task.batch;
+                let _ = task.rec_tx.send(record);
+            }
+            Ok(None) => {}
+            Err(payload) => {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                let report = StageFailed {
+                    device,
+                    stage: task.stage,
+                    origin_chunk: task.msg.origin_chunk,
+                    message,
+                };
+                let _ = task.fin_tx.send(Err(Failure { report, payload }));
+                inflight.finish_one();
+                continue;
+            }
         }
         task.stage += 1;
         if task.stage < num_stages {
             next_tx.send(DeviceMsg::Task(task)).expect("ring successor alive");
         } else {
-            let _ = task.fin_tx.send(task.msg);
+            let _ = task.fin_tx.send(Ok(task.msg));
             inflight.finish_one();
         }
     }
 }
 
 /// Collects `expected` finished chunks (sorted by origin) and the batch's
-/// records (sorted by `(stage, origin_chunk)`) into a timeline.
+/// records (sorted by `(stage, origin_chunk)`) into a timeline, or the
+/// failure of the lowest-origin failed chunk once every chunk has arrived.
 ///
 /// Every record of a chunk is sent before that chunk's final delivery on the
 /// same worker chain (each hop is a channel send/recv pair, which orders the
 /// sends), so once all finals have arrived the record drain is complete.
 fn collect_batch<T>(
     expected: usize,
-    fin_rx: &Receiver<RingMessage<T>>,
+    fin_rx: &Receiver<Delivery<T>>,
     rec_rx: &Receiver<StageRecord>,
-) -> (Vec<RingMessage<T>>, PipelineTimeline) {
+) -> Result<(Vec<RingMessage<T>>, PipelineTimeline), Failure> {
     let mut out = Vec::with_capacity(expected);
+    let mut failed: Option<Failure> = None;
     for _ in 0..expected {
-        out.push(fin_rx.recv().expect("executor delivers every chunk"));
+        match fin_rx.recv().expect("executor delivers every chunk") {
+            Ok(msg) => out.push(msg),
+            Err(f) => {
+                if failed.as_ref().is_none_or(|g| g.report.origin_chunk > f.report.origin_chunk) {
+                    failed = Some(f);
+                }
+            }
+        }
+    }
+    if let Some(f) = failed {
+        return Err(f);
     }
     out.sort_by_key(|m| m.origin_chunk);
     let mut records = Vec::new();
@@ -147,7 +227,7 @@ fn collect_batch<T>(
     for r in records {
         timeline.push(r);
     }
-    (out, timeline)
+    Ok((out, timeline))
 }
 
 /// Runs one batch of `chunks` through an `num_stages`-stage ring of
@@ -166,7 +246,8 @@ fn collect_batch<T>(
 /// # Panics
 ///
 /// Panics if `num_devices == 0`, `num_stages == 0`, or `chunks` is empty.
-/// Panics raised inside `stage_fn` propagate.
+/// A panic raised inside `stage_fn` is re-raised on the caller, with its
+/// original payload, after the batch's other chunks have drained.
 pub fn run_ring_stream<T, F>(
     num_devices: usize,
     num_stages: usize,
@@ -185,7 +266,7 @@ where
     let (txs, rxs): (Vec<_>, Vec<_>) =
         (0..num_devices).map(|_| channel::unbounded::<DeviceMsg<T>>()).unzip();
     let (rec_tx, rec_rx) = channel::unbounded::<StageRecord>();
-    let (fin_tx, fin_rx) = channel::unbounded::<RingMessage<T>>();
+    let (fin_tx, fin_rx) = channel::unbounded::<Delivery<T>>();
     let inflight = Inflight::default();
     let expected = chunks.len();
     inflight.add(expected);
@@ -216,7 +297,7 @@ where
             tx.send(DeviceMsg::Stop).expect("device thread alive");
         }
     });
-    collect_batch(expected, &fin_rx, &rec_rx)
+    collect_batch(expected, &fin_rx, &rec_rx).unwrap_or_else(|f| resume_unwind(f.payload))
 }
 
 /// Shared state between a [`RingExecutor`] and its device threads.
@@ -300,7 +381,7 @@ impl<T: Send + 'static> RingExecutor<T> {
         // data the batch touches flows through the channels, which order it.
         let batch = self.batch_seq.fetch_add(1, Ordering::Relaxed);
         let (rec_tx, rec_rx) = channel::unbounded::<StageRecord>();
-        let (fin_tx, fin_rx) = channel::unbounded::<RingMessage<T>>();
+        let (fin_tx, fin_rx) = channel::unbounded::<Delivery<T>>();
         let expected = chunks.len();
         self.shared.inflight.add(expected);
         for (origin, payload) in chunks {
@@ -337,7 +418,7 @@ impl<T: Send + 'static> Drop for RingExecutor<T> {
 pub struct BatchHandle<T> {
     batch: u64,
     expected: usize,
-    fin_rx: Receiver<RingMessage<T>>,
+    fin_rx: Receiver<Delivery<T>>,
     rec_rx: Receiver<StageRecord>,
 }
 
@@ -347,11 +428,16 @@ impl<T> BatchHandle<T> {
         self.batch
     }
 
-    /// Blocks until every chunk of the batch has completed all stages;
-    /// returns the final messages (sorted by origin chunk) and the batch's
-    /// timeline (records sorted by `(stage, origin_chunk)`).
-    pub fn wait(self) -> (Vec<RingMessage<T>>, PipelineTimeline) {
-        collect_batch(self.expected, &self.fin_rx, &self.rec_rx)
+    /// Blocks until every chunk of the batch has completed all stages (or
+    /// failed); returns the final messages (sorted by origin chunk) and the
+    /// batch's timeline (records sorted by `(stage, origin_chunk)`).
+    ///
+    /// # Errors
+    ///
+    /// [`StageFailed`] for the lowest-origin chunk whose stage function
+    /// panicked; the batch's other results are discarded.
+    pub fn wait(self) -> Result<(Vec<RingMessage<T>>, PipelineTimeline), StageFailed> {
+        collect_batch(self.expected, &self.fin_rx, &self.rec_rx).map_err(|f| f.report)
     }
 }
 
@@ -464,7 +550,7 @@ mod tests {
             },
         );
         let chunks: Vec<(usize, Vec<usize>)> = (0..n).map(|d| (d, Vec::new())).collect();
-        let (out, timeline) = exec.submit(chunks).wait();
+        let (out, timeline) = exec.submit(chunks).wait().unwrap();
         assert_eq!(out.len(), n);
         for m in &out {
             let want: Vec<usize> = (0..n).map(|s| (m.origin_chunk + s) % n).collect();
@@ -485,7 +571,7 @@ mod tests {
             (0..6).map(|b| exec.submit(vec![(3usize, b * 1000)])).collect();
         for (b, h) in handles.into_iter().enumerate() {
             assert_eq!(h.batch_id(), b as u64);
-            let (out, timeline) = h.wait();
+            let (out, timeline) = h.wait().unwrap();
             assert_eq!(out.len(), 1);
             assert_eq!(out[0].payload, b as u64 * 1000 + n as u64);
             assert_eq!(timeline.records().len(), n);
@@ -502,9 +588,9 @@ mod tests {
         let h1 = exec.submit(vec![(0, 0u32), (1, 10)]);
         let h2 = exec.submit(vec![(0, 100)]);
         drop(exec); // Must drain, not strand, the two batches.
-        let (out1, _) = h1.wait();
+        let (out1, _) = h1.wait().unwrap();
         assert_eq!(out1.iter().map(|m| m.payload).collect::<Vec<_>>(), vec![2, 12]);
-        let (out2, _) = h2.wait();
+        let (out2, _) = h2.wait().unwrap();
         assert_eq!(out2[0].payload, 102);
     }
 
@@ -515,7 +601,55 @@ mod tests {
             Some(record(device, stage, msg.origin_chunk))
         });
         drop(exec.submit(vec![(0, 0u32)])); // Receiver gone; sends are ignored.
-        let (out, _) = exec.submit(vec![(1, 5u32)]).wait();
+        let (out, _) = exec.submit(vec![(1, 5u32)]).wait().unwrap();
         assert_eq!(out[0].payload, 7);
+    }
+
+    /// Runs `body` on its own thread and fails the test if it has not
+    /// returned within `secs` — a hang is the defect under test.
+    fn within<R: Send + 'static>(secs: u64, body: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(body());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(secs))
+            .unwrap_or_else(|_| panic!("did not return within {secs} s"))
+    }
+
+    #[test]
+    fn stream_reraises_a_stage_panic_after_draining() {
+        let outcome = within(20, || {
+            catch_unwind(|| {
+                run_ring_stream(3, 3, 0, one_per_device(vec![(); 3]), |device, stage, msg| {
+                    assert!(!(stage == 1 && msg.origin_chunk == 2), "injected stage failure");
+                    Some(record(device, stage, msg.origin_chunk))
+                })
+            })
+        });
+        let payload = outcome.expect_err("the stage panic must reach the caller");
+        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(message, "injected stage failure");
+    }
+
+    #[test]
+    fn failed_executor_batch_is_reported_and_the_ring_keeps_serving() {
+        let (failed, next) = within(20, || {
+            let exec =
+                RingExecutor::new(2, 2, |device: usize, stage, msg: &mut RingMessage<u32>| {
+                    assert!(msg.payload != 13 || stage != 1, "injected stage failure");
+                    msg.payload += 1;
+                    Some(record(device, stage, msg.origin_chunk))
+                });
+            let failed = exec.submit(vec![(0, 0u32), (1, 12)]).wait();
+            let next = exec.submit(vec![(0, 100u32), (1, 200)]).wait();
+            drop(exec); // Must drain and join, not wait on the failed chunk.
+            (failed, next)
+        });
+        let err = failed.expect_err("the panicking chunk fails its batch");
+        assert_eq!((err.device, err.stage, err.origin_chunk), (0, 1, 1));
+        assert_eq!(err.message, "injected stage failure");
+        let (out, timeline) = next.expect("the next batch completes");
+        assert_eq!(out.iter().map(|m| m.payload).collect::<Vec<_>>(), vec![102, 202]);
+        assert_eq!(timeline.records().len(), 4);
     }
 }

@@ -47,7 +47,7 @@ pub mod trace;
 pub use cost::{CostModel, TimeBreakdown};
 pub use counters::CostCounters;
 pub use device::DeviceSpec;
-pub use executor::{run_ring_stream, BatchHandle, RingExecutor, RingMessage};
+pub use executor::{run_ring_stream, BatchHandle, RingExecutor, RingMessage, StageFailed};
 pub use link::LinkSpec;
 pub use memory::MemoryLedger;
 pub use timeline::{PipelineTimeline, StageRecord};

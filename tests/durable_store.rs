@@ -1,11 +1,15 @@
 //! Durable-store integration: WAL-before-ack mutations survive reopen, and
 //! the crash-recovery contract holds — a process killed mid-append leaves a
 //! store that reopens to exactly the state before the torn record.
+//!
+//! Every mutation and reopen goes through the one writer,
+//! `ConcurrentIndex::durable`, and every read through `pin()`.
 
 mod common;
 
 use common::TempStore;
-use pathweaver::core::store::{load_index, verify_store, StoreError, WAL_FILE};
+use pathweaver::core::store::wal::WalWriter;
+use pathweaver::core::store::{load_index, save_index, verify_store, StoreError, WAL_FILE};
 use pathweaver::datasets::io::write_fvecs;
 use pathweaver::prelude::*;
 
@@ -15,15 +19,43 @@ fn build_index(seed: u64) -> (Workload, PathWeaverIndex) {
     (w, idx)
 }
 
-fn search_all(idx: &PathWeaverIndex, queries: &pathweaver::vector::VectorSet) -> Vec<Vec<u32>> {
-    idx.search_pipelined(queries, &SearchParams::default()).results
+/// Persists `idx` as a fresh store under `dir` and returns its writer.
+fn create(idx: PathWeaverIndex, dir: &TempStore) -> ConcurrentIndex {
+    ConcurrentIndex::durable(DurableIndex::create(idx, dir.path()).unwrap())
+}
+
+/// Recovers the store under `dir` into a writer, as a restarted process does.
+fn reopen(dir: &TempStore) -> ConcurrentIndex {
+    ConcurrentIndex::durable(DurableIndex::open(dir.path()).unwrap())
+}
+
+fn search_with(
+    ci: &ConcurrentIndex,
+    queries: &pathweaver::vector::VectorSet,
+    params: &SearchParams,
+) -> Vec<Vec<u32>> {
+    ci.pin().index().search_pipelined(queries, params).results
+}
+
+fn search_all(ci: &ConcurrentIndex, queries: &pathweaver::vector::VectorSet) -> Vec<Vec<u32>> {
+    search_with(ci, queries, &SearchParams::default())
+}
+
+fn num_vectors(ci: &ConcurrentIndex) -> usize {
+    ci.pin().index().num_vectors
+}
+
+fn single(vector: &[f32]) -> pathweaver::vector::VectorSet {
+    let mut q = pathweaver::vector::VectorSet::empty(vector.len());
+    q.push(vector);
+    q
 }
 
 #[test]
 fn durable_mutations_survive_reopen() {
     let (w, idx) = build_index(71);
     let dir = TempStore::new("durable-reopen");
-    let mut durable = DurableIndex::create(idx, dir.path()).unwrap();
+    let durable = create(idx, &dir);
 
     let novel: Vec<f32> = w.base.row(2).iter().map(|x| x + 0.004).collect();
     let id = durable.insert(&novel).unwrap();
@@ -31,13 +63,10 @@ fn durable_mutations_survive_reopen() {
     let before = search_all(&durable, &w.queries);
 
     drop(durable); // Simulated clean shutdown: no compact, WAL still pending.
-    let reopened = DurableIndex::open(dir.path()).unwrap();
-    assert_eq!(reopened.num_vectors, w.base.len() + 1);
+    let reopened = reopen(&dir);
+    assert_eq!(num_vectors(&reopened), w.base.len() + 1);
     assert_eq!(search_all(&reopened, &w.queries), before);
-
-    let mut q = pathweaver::vector::VectorSet::empty(reopened.dim());
-    q.push(&novel);
-    assert!(search_all(&reopened, &q)[0].contains(&id), "WAL insert lost on reopen");
+    assert!(search_all(&reopened, &single(&novel))[0].contains(&id), "WAL insert lost on reopen");
 }
 
 #[test]
@@ -47,17 +76,17 @@ fn wal_replay_extends_quantized_tier_identically() {
     // must answer quantized searches bitwise-identically to the live one.
     let (w, idx) = build_index(75);
     let dir = TempStore::new("durable-quantized");
-    let mut durable = DurableIndex::create(idx, dir.path()).unwrap();
+    let durable = create(idx, &dir);
     for r in 0..3 {
         let v: Vec<f32> = w.base.row(r).iter().map(|x| x + 0.002).collect();
         durable.insert(&v).unwrap();
     }
     let params = SearchParams { quantized: true, ..SearchParams::default() };
-    let before = durable.search_pipelined(&w.queries, &params).results;
+    let before = search_with(&durable, &w.queries, &params);
 
     drop(durable); // WAL still pending: reopen must replay the inserts.
-    let reopened = DurableIndex::open(dir.path()).unwrap();
-    assert_eq!(reopened.search_pipelined(&w.queries, &params).results, before);
+    let reopened = reopen(&dir);
+    assert_eq!(search_with(&reopened, &w.queries, &params), before);
 }
 
 #[test]
@@ -68,7 +97,7 @@ fn wal_replay_is_idempotent_across_noop_deletes_and_reinserts() {
     // converge to the same state as the live index.
     let (w, idx) = build_index(77);
     let dir = TempStore::new("durable-idempotent-replay");
-    let mut durable = DurableIndex::create(idx, dir.path()).unwrap();
+    let durable = create(idx, &dir);
 
     let novel: Vec<f32> = w.base.row(3).iter().map(|x| x + 0.006).collect();
     let id = durable.insert(&novel).unwrap();
@@ -80,20 +109,18 @@ fn wal_replay_is_idempotent_across_noop_deletes_and_reinserts() {
     assert_eq!(durable.delete_outcome(id2).unwrap(), DeleteOutcome::Applied);
     assert_eq!(durable.delete_outcome(id2).unwrap(), DeleteOutcome::AlreadyDeleted);
     let before = search_all(&durable, &w.queries);
-    let count = durable.num_vectors;
+    let count = num_vectors(&durable);
 
     drop(durable); // Clean shutdown, WAL still pending: reopen replays everything.
     for round in 0..2 {
-        let mut reopened = DurableIndex::open(dir.path()).unwrap();
-        assert_eq!(reopened.num_vectors, count, "replay changed the count (round {round})");
+        let reopened = reopen(&dir);
+        assert_eq!(num_vectors(&reopened), count, "replay changed the count (round {round})");
         assert_eq!(search_all(&reopened, &w.queries), before, "replay diverged (round {round})");
         // The replayed tombstones must report as already present, not re-apply.
         assert_eq!(reopened.delete_outcome(1).unwrap(), DeleteOutcome::AlreadyDeleted);
         assert_eq!(reopened.delete_outcome(id2).unwrap(), DeleteOutcome::AlreadyDeleted);
         // The replayed insert is live and searchable under its original id.
-        let mut q = pathweaver::vector::VectorSet::empty(reopened.dim());
-        q.push(&novel);
-        assert!(search_all(&reopened, &q)[0].contains(&id), "replayed insert lost");
+        assert!(search_all(&reopened, &single(&novel))[0].contains(&id), "replayed insert lost");
     }
 }
 
@@ -104,7 +131,7 @@ fn torn_wal_tail_recovers_to_pre_record_state_at_every_offset() {
     // are identical to an index that never saw the torn record.
     let (w, idx) = build_index(72);
     let dir = TempStore::new("durable-torn");
-    let mut durable = DurableIndex::create(idx, dir.path()).unwrap();
+    let durable = create(idx, &dir);
     let a: Vec<f32> = w.base.row(0).iter().map(|x| x + 0.003).collect();
     durable.insert(&a).unwrap();
     let baseline = search_all(&durable, &w.queries);
@@ -119,9 +146,11 @@ fn torn_wal_tail_recovers_to_pre_record_state_at_every_offset() {
 
     for cut in intact_len..full.len() as u64 {
         std::fs::write(dir.join(WAL_FILE), &full[..cut as usize]).unwrap();
-        let reopened = DurableIndex::open(dir.path())
-            .unwrap_or_else(|e| panic!("reopen failed at cut {cut}: {e:?}"));
-        assert_eq!(reopened.num_vectors, w.base.len() + 1, "wrong count at cut {cut}");
+        let reopened = ConcurrentIndex::durable(
+            DurableIndex::open(dir.path())
+                .unwrap_or_else(|e| panic!("reopen failed at cut {cut}: {e:?}")),
+        );
+        assert_eq!(num_vectors(&reopened), w.base.len() + 1, "wrong count at cut {cut}");
         assert_eq!(search_all(&reopened, &w.queries), baseline, "divergence at cut {cut}");
         drop(reopened); // Reopen repairs the tail; restore the torn file for the next cut.
     }
@@ -131,7 +160,7 @@ fn torn_wal_tail_recovers_to_pre_record_state_at_every_offset() {
 fn compact_folds_wal_and_store_stays_usable() {
     let (w, idx) = build_index(73);
     let dir = TempStore::new("durable-compact");
-    let mut durable = DurableIndex::create(idx, dir.path()).unwrap();
+    let durable = create(idx, &dir);
     for r in 0..3 {
         let v: Vec<f32> = w.base.row(r).iter().map(|x| x + 0.002).collect();
         durable.insert(&v).unwrap();
@@ -148,8 +177,8 @@ fn compact_folds_wal_and_store_stays_usable() {
     let v: Vec<f32> = w.base.row(4).iter().map(|x| x + 0.009).collect();
     durable.insert(&v).unwrap();
     drop(durable);
-    let reopened = DurableIndex::open(dir.path()).unwrap();
-    assert_eq!(reopened.num_vectors, w.base.len() + 4);
+    let reopened = reopen(&dir);
+    assert_eq!(num_vectors(&reopened), w.base.len() + 4);
     assert_eq!(search_all(&reopened, &w.queries), before);
 }
 
@@ -157,7 +186,7 @@ fn compact_folds_wal_and_store_stays_usable() {
 fn verify_store_reports_pending_and_torn_wal_bytes() {
     let (w, idx) = build_index(74);
     let dir = TempStore::new("durable-verify");
-    let mut durable = DurableIndex::create(idx, dir.path()).unwrap();
+    let durable = create(idx, &dir);
     let v: Vec<f32> = w.base.row(0).iter().map(|x| x + 0.001).collect();
     durable.insert(&v).unwrap();
     durable.delete_outcome(2).unwrap();
@@ -209,6 +238,29 @@ fn non_segment_directories_fail_cleanly() {
         assert_eq!(tree(dir.path()), before, "{} was modified", dir.path().display());
         assert!(!dir.join(WAL_FILE).exists());
     }
+}
+
+#[test]
+fn wal_of_another_index_is_corrupt_and_leaves_the_store_untouched() {
+    // A dim-96 segment beside a WAL written for dim-101 vectors, holding
+    // one delete. Replaying it would apply another index's mutation, so
+    // both recovery entry points reject the pair before replaying anything.
+    let (_, idx) = build_index(76);
+    assert_eq!(idx.dim(), 96);
+    let ours = TempStore::new("foreign-wal-ours");
+    save_index(&idx, ours.path()).unwrap();
+    let mut foreign = WalWriter::create(ours.join(WAL_FILE), 101).unwrap();
+    foreign.append_delete(0).unwrap();
+    drop(foreign);
+
+    let before = tree(ours.path());
+    let corrupt_at_dim = |what: &str, err: Option<StoreError>| match err {
+        Some(StoreError::Corrupt { offset, .. }) => assert_eq!(offset, 8, "{what}"),
+        other => panic!("{what}: expected Corrupt at byte 8, got {other:?}"),
+    };
+    corrupt_at_dim("load_index", load_index(ours.path()).err());
+    corrupt_at_dim("DurableIndex::open", DurableIndex::open(ours.path()).err());
+    assert_eq!(tree(ours.path()), before, "a rejected recovery modified the store");
 }
 
 /// Every path under `root` with its byte contents, sorted.

@@ -24,7 +24,7 @@ fi
 
 # Approved external dependencies (ISSUE/ROADMAP policy). serde_derive is the
 # proc-macro half of the vendored serde shim, not an additional dependency.
-ALLOWED="rand proptest criterion crossbeam parking_lot bytes serde serde_json serde_derive"
+ALLOWED="rand proptest crossbeam parking_lot bytes serde serde_json serde_derive"
 
 status=0
 
