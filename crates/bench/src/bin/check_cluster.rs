@@ -28,9 +28,8 @@
 //! (default `target/cluster_report.json`).
 
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 
+use pathweaver_bench::gate::{seed_from_env, Gate};
 use pathweaver_core::cluster::{
     build_partitions, reference_merged, ClusterPartition, DelayWindow, FaultScript, LocalCluster,
     TransportKind,
@@ -42,7 +41,7 @@ use pathweaver_datasets::{DatasetProfile, Scale};
 use pathweaver_search::SearchParams;
 use pathweaver_vector::VectorSet;
 use rand::Rng;
-use serde_json::{json, Value};
+use serde_json::json;
 
 /// One case's cluster shape + scripted faults.
 struct CaseSpec<'a> {
@@ -60,30 +59,27 @@ struct CaseSpec<'a> {
     expect_failover: bool,
 }
 
-struct Gate {
-    queries: VectorSet,
-    params: SearchParams,
-    cases: usize,
-    queries_served: u64,
-    failovers_seen: u64,
-    failures: Vec<Value>,
+/// The fault matrix: the shared gate skeleton plus the query load.
+struct Matrix {
+    checks: Gate,
+    load: Load,
 }
 
-impl Gate {
-    fn run_case(&mut self, spec: CaseSpec<'_>) {
-        self.cases += 1;
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.drive(&spec)));
-        let verdict = match outcome {
-            Err(_) => Some("panicked".to_string()),
-            Ok(Err(detail)) => Some(detail),
-            Ok(Ok(())) => None,
-        };
-        if let Some(detail) = verdict {
-            println!("  FAIL {}: {detail}", spec.label);
-            self.failures.push(json!({"case": (&spec.label), "outcome": detail}));
-        }
-    }
+struct Load {
+    queries: VectorSet,
+    params: SearchParams,
+    queries_served: u64,
+    failovers_seen: u64,
+}
 
+impl Matrix {
+    fn run_case(&mut self, spec: CaseSpec<'_>) {
+        let Self { checks, load } = self;
+        checks.case(&spec.label, || load.drive(&spec));
+    }
+}
+
+impl Load {
     /// Boots the cluster, pushes the batches, checks every hit bitwise.
     fn drive(&mut self, spec: &CaseSpec<'_>) -> Result<(), String> {
         let config = ClusterConfig {
@@ -157,10 +153,7 @@ fn storm(delay_ms: u64) -> FaultScript {
 }
 
 fn main() {
-    let seed: u64 = std::env::var("PATHWEAVER_CLUSTER_SEED")
-        .ok()
-        .map(|s| s.parse().expect("PATHWEAVER_CLUSTER_SEED must be an integer"))
-        .unwrap_or(77);
+    let seed = seed_from_env("PATHWEAVER_CLUSTER_SEED", 77);
     let mut rng = pathweaver_util::small_rng(seed);
 
     let workload = DatasetProfile::deep10m_like().workload(Scale::Test, 8, 10, 23);
@@ -176,47 +169,32 @@ fn main() {
         workload.queries.len()
     );
 
-    let mut gate = Gate {
-        queries: workload.queries,
-        params,
-        cases: 0,
-        queries_served: 0,
-        failovers_seen: 0,
-        failures: Vec::new(),
-    };
+    let load = Load { queries: workload.queries, params, queries_served: 0, failovers_seen: 0 };
+    let mut gate = Matrix { checks: Gate::new("check_cluster", seed), load };
 
     // Identity: 1 node must be bit-identical to serve_once, down to the
     // simulated makespan, on both transports.
     for transport in [TransportKind::Channel, TransportKind::Tcp] {
-        gate.cases += 1;
-        let label = format!("identity-{transport:?}");
         let config = ClusterConfig { partitions: 1, ..ClusterConfig::default() };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let cluster = LocalCluster::launch_with_partitions(&full, &config, 1, transport, &[])?;
-            let out = cluster.router().search(&gate.queries, &gate.params)?;
-            cluster.shutdown();
-            Ok::<_, pathweaver_core::ClusterError>(out)
-        }));
-        let detail = match outcome {
-            Err(_) => Some("panicked".to_string()),
-            Ok(Err(e)) => Some(format!("router error: {e}")),
-            Ok(Ok(out)) => {
-                gate.queries_served += gate.queries.len() as u64;
-                compare_hits(&out.hits, &single.hits)
-                    .err()
-                    .or_else(|| {
-                        (out.results != single.results).then(|| "result ids diverged".to_string())
-                    })
-                    .or_else(|| {
-                        (out.makespan_s.to_bits() != single.makespan_s.to_bits())
-                            .then(|| "simulated makespan bits diverged".to_string())
-                    })
+        let Matrix { checks, load } = &mut gate;
+        checks.case(&format!("identity-{transport:?}"), || {
+            let out = LocalCluster::launch_with_partitions(&full, &config, 1, transport, &[])
+                .and_then(|cluster| {
+                    let out = cluster.router().search(&load.queries, &load.params)?;
+                    cluster.shutdown();
+                    Ok(out)
+                })
+                .map_err(|e| format!("router error: {e}"))?;
+            load.queries_served += load.queries.len() as u64;
+            compare_hits(&out.hits, &single.hits)?;
+            if out.results != single.results {
+                return Err("result ids diverged".to_string());
             }
-        };
-        if let Some(detail) = detail {
-            println!("  FAIL {label}: {detail}");
-            gate.failures.push(json!({"case": label, "outcome": detail}));
-        }
+            if out.makespan_s.to_bits() != single.makespan_s.to_bits() {
+                return Err("simulated makespan bits diverged".to_string());
+            }
+            Ok(())
+        });
     }
 
     // Replica kill mid-batch: one of two replicas swallows a request at a
@@ -342,33 +320,17 @@ fn main() {
         expect_failover: true,
     });
 
-    let report = json!({
-        "gate": "check_cluster",
-        "seed": seed,
-        "cases": (gate.cases),
-        "queries_served": (gate.queries_served),
-        "failovers": (gate.failovers_seen),
-        "failed_queries": (gate.failures.len()),
-        "failures": (&gate.failures)
-    });
-    let path = std::env::var("PATHWEAVER_CLUSTER_OUT")
-        .unwrap_or_else(|_| "target/cluster_report.json".to_string());
-    if let Some(dir) = Path::new(&path).parent() {
-        std::fs::create_dir_all(dir).expect("create report directory");
-    }
-    let mut text = serde_json::to_string_pretty(&report).expect("serialize report");
-    text.push('\n');
-    std::fs::write(&path, text).expect("write report");
-
-    println!(
-        "check_cluster: {} cases, {} queries served, {} failovers, {} failures — wrote {path}",
-        gate.cases,
-        gate.queries_served,
-        gate.failovers_seen,
-        gate.failures.len()
+    let Matrix { checks, load } = gate;
+    let fields = [
+        ("queries_served", json!(load.queries_served)),
+        ("failovers", json!(load.failovers_seen)),
+        ("failed_queries", json!(checks.failure_count())),
+    ];
+    checks.finish(
+        &fields,
+        &[(load.queries_served, "queries served"), (load.failovers_seen, "failovers")],
+        "PATHWEAVER_CLUSTER_OUT",
+        "target/cluster_report.json",
+        "fault matrix found contract violations",
     );
-    if !gate.failures.is_empty() {
-        eprintln!("check_cluster: fault matrix found contract violations");
-        std::process::exit(1);
-    }
 }

@@ -26,9 +26,9 @@
 //! offsets; `PATHWEAVER_STORE_OUT` overrides the report path (default
 //! `target/store_report.json`).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
+use pathweaver_bench::gate::{seed_from_env, Gate};
 use pathweaver_core::store::segment::{
     HEADER_LEN, KIND_DIR_TABLE, KIND_GHOST_GRAPH, KIND_GHOST_MAP, KIND_GHOST_VECTORS,
     KIND_GLOBAL_IDS, KIND_GRAPH, KIND_INTERSHARD, KIND_META, KIND_QUANTIZED, KIND_TOMBSTONES,
@@ -41,7 +41,7 @@ use pathweaver_core::{
 use pathweaver_datasets::{DatasetProfile, Scale};
 use pathweaver_search::SearchParams;
 use rand::Rng;
-use serde_json::{json, Value};
+use serde_json::json;
 
 /// Search results for the fixed query set — the identity we compare states
 /// by. Two stores are "the same index" iff these match.
@@ -56,30 +56,10 @@ struct Matrix {
     /// Search results after 0, 1, .., n applied records.
     prefix_states: Vec<Results>,
     queries: pathweaver_vector::VectorSet,
-    cases: usize,
-    failures: Vec<Value>,
+    checks: Gate,
 }
 
 impl Matrix {
-    /// What a reopen attempt did, reduced to the contract's vocabulary.
-    fn reopen(&self) -> Outcome {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            DurableIndex::open(&self.work).map(|store| {
-                let ix = ConcurrentIndex::durable(store);
-                ix.pin().index().search_pipelined(&self.queries, &SearchParams::default()).results
-            })
-        }));
-        match caught {
-            Err(_) => Outcome::Panicked,
-            Ok(Err(StoreError::Corrupt { offset, detail })) => Outcome::Corrupt { offset, detail },
-            Ok(Err(e)) => Outcome::OtherError(format!("{e:?}")),
-            Ok(Ok(results)) => match self.prefix_states.iter().position(|s| *s == results) {
-                Some(k) => Outcome::OpenedAtPrefix(k),
-                None => Outcome::SilentWrongAnswer,
-            },
-        }
-    }
-
     /// Writes one damaged store into the work dir and evaluates the case.
     fn run_case(
         &mut self,
@@ -90,12 +70,28 @@ impl Matrix {
     ) {
         std::fs::write(self.work.join(SEGMENT_FILE), segment).expect("stage segment");
         std::fs::write(self.work.join(WAL_FILE), wal).expect("stage wal");
-        self.cases += 1;
-        let outcome = self.reopen();
-        if !ok(&outcome) {
-            println!("  FAIL {label}: {}", outcome.describe());
-            self.failures.push(json!({"case": label, "outcome": (outcome.describe())}));
-        }
+        let Self { checks, work, queries, prefix_states, .. } = self;
+        checks.case(&label, || {
+            // What a reopen attempt did, reduced to the contract's
+            // vocabulary; a panic is caught and reported by the gate.
+            let opened = DurableIndex::open(work).map(|store| {
+                let ix = ConcurrentIndex::durable(store);
+                ix.pin().index().search_pipelined(queries, &SearchParams::default()).results
+            });
+            let outcome = match opened {
+                Err(StoreError::Corrupt { offset, detail }) => Outcome::Corrupt { offset, detail },
+                Err(e) => Outcome::OtherError(format!("{e:?}")),
+                Ok(results) => match prefix_states.iter().position(|s| *s == results) {
+                    Some(k) => Outcome::OpenedAtPrefix(k),
+                    None => Outcome::SilentWrongAnswer,
+                },
+            };
+            if ok(&outcome) {
+                Ok(())
+            } else {
+                Err(outcome.describe())
+            }
+        });
     }
 
     /// Index of the last record boundary at or before `offset` — the number
@@ -114,7 +110,6 @@ enum Outcome {
     },
     OtherError(String),
     SilentWrongAnswer,
-    Panicked,
 }
 
 impl Outcome {
@@ -124,7 +119,6 @@ impl Outcome {
             Self::Corrupt { offset, detail } => format!("rejected: corrupt at {offset}: {detail}"),
             Self::OtherError(e) => format!("rejected: {e}"),
             Self::SilentWrongAnswer => "opened with results matching no valid state".into(),
-            Self::Panicked => "panicked".into(),
         }
     }
 }
@@ -184,16 +178,12 @@ fn build_matrix(root: &Path, seed: u64) -> Matrix {
         record_ends,
         prefix_states,
         queries: w.queries,
-        cases: 0,
-        failures: Vec::new(),
+        checks: Gate::new("check_store", seed),
     }
 }
 
 fn main() {
-    let seed: u64 = std::env::var("PATHWEAVER_STORE_SEED")
-        .ok()
-        .map(|s| s.parse().expect("PATHWEAVER_STORE_SEED must be an integer"))
-        .unwrap_or(4242);
+    let seed = seed_from_env("PATHWEAVER_STORE_SEED", 4242);
     let root = std::env::temp_dir().join(format!("pw-check-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut m = build_matrix(&root, seed);
@@ -354,28 +344,17 @@ fn main() {
         }
     }
 
-    let report = json!({
-        "gate": "check_store",
-        "seed": seed,
-        "cases": (m.cases),
-        "wal_records": (m.record_ends.len() - 1),
-        "segment_bytes": (m.segment.len()),
-        "wal_bytes": (m.wal.len()),
-        "failures": (&m.failures)
-    });
-    let path = std::env::var("PATHWEAVER_STORE_OUT")
-        .unwrap_or_else(|_| "target/store_report.json".to_string());
-    if let Some(dir) = Path::new(&path).parent() {
-        std::fs::create_dir_all(dir).expect("create report directory");
-    }
-    let mut text = serde_json::to_string_pretty(&report).expect("serialize report");
-    text.push('\n');
-    std::fs::write(&path, text).expect("write report");
     let _ = std::fs::remove_dir_all(&root);
-
-    println!("check_store: {} cases, {} failures — wrote {path}", m.cases, m.failures.len());
-    if !m.failures.is_empty() {
-        eprintln!("check_store: corruption matrix found contract violations");
-        std::process::exit(1);
-    }
+    let fields = [
+        ("wal_records", json!(m.record_ends.len() - 1)),
+        ("segment_bytes", json!(m.segment.len())),
+        ("wal_bytes", json!(m.wal.len())),
+    ];
+    m.checks.finish(
+        &fields,
+        &[],
+        "PATHWEAVER_STORE_OUT",
+        "target/store_report.json",
+        "corruption matrix found contract violations",
+    );
 }

@@ -6,13 +6,11 @@
 //! prints the rows/series the paper reports, and returns a machine-readable
 //! [`pathweaver_core::report::ExperimentRecord`].
 //!
-//! Two entry points drive the modules:
-//!
-//! - the `reproduce` binary (`cargo run --release -p pathweaver-bench --bin
-//!   reproduce -- all`) runs experiments at `--scale bench` (laptop-sized
-//!   datasets, minutes) or `--scale test` (seconds, for smoke checks);
-//! - the Criterion benches under `benches/` time the underlying kernels and
-//!   scaled-down versions of each experiment.
+//! The `reproduce` binary (`cargo run --release -p pathweaver-bench --bin
+//! reproduce -- all`) drives the modules at `--scale bench` (laptop-sized
+//! datasets, minutes) or `--scale test` (seconds, for smoke checks). The
+//! seeded contract gates (`check_store`, `check_cluster`) share the
+//! [`gate`] skeleton.
 //!
 //! All QPS numbers from the simulated devices come from the cost-model
 //! clock ("sim-QPS"); only the HNSW CPU baseline reports real wall time.
@@ -20,6 +18,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod gate;
 pub mod session;
 
 pub use session::Session;

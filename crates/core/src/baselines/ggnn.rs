@@ -77,7 +77,6 @@ impl GgnnBaseline {
             index: PathWeaverIndex {
                 config,
                 shards,
-                assignment,
                 build_report: report,
                 ledgers,
                 num_vectors: dataset.len(),

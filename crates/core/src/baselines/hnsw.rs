@@ -3,7 +3,6 @@
 
 use crate::config::PathWeaverConfig;
 use crate::index::{PathWeaverIndex, ShardIndex};
-use crate::shard::ShardAssignment;
 use pathweaver_gpusim::MemoryLedger;
 use pathweaver_graph::{Hnsw, HnswParams};
 use pathweaver_util::FixedBitSet;
@@ -84,7 +83,6 @@ impl HnswBaseline {
         PathWeaverIndex {
             config,
             shards: vec![std::sync::Arc::new(shard)],
-            assignment: ShardAssignment::random(n, 1, 0),
             build_report: pathweaver_graph::BuildReport::new(),
             ledgers: vec![ledger],
             num_vectors: n,

@@ -80,6 +80,25 @@ fn fail(e: impl std::fmt::Display) -> ! {
     exit(1)
 }
 
+/// Writes one line to stdout, the only way this binary prints results. A
+/// closed stdout (`pwctl search ... | head -2`) ends the program quietly
+/// with status 0; any other write error is a one-line [`fail`].
+fn out_line(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0)
+        }
+        fail(format!("writing to stdout: {e}"))
+    }
+}
+
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out_line(format_args!($($arg)*))
+    };
+}
+
 fn profile_by_name(name: &str) -> DatasetProfile {
     DatasetProfile::all().into_iter().find(|p| p.name == name).unwrap_or_else(|| {
         eprintln!("unknown profile '{name}'; available:");
@@ -128,11 +147,11 @@ fn synth(flags: &BTreeMap<String, String>) {
         let qout = format!("{out}.queries");
         write_fvecs(std::fs::File::create(&qout).unwrap_or_else(|e| fail(e)), &qs)
             .unwrap_or_else(|e| fail(e));
-        println!("wrote {} base vectors to {out} and {queries} queries to {qout}", base.len());
+        outln!("wrote {} base vectors to {out} and {queries} queries to {qout}", base.len());
     } else {
         write_fvecs(std::fs::File::create(out).unwrap_or_else(|e| fail(e)), &all)
             .unwrap_or_else(|e| fail(e));
-        println!("wrote {} vectors (dim {}) to {out}", all.len(), all.dim());
+        outln!("wrote {} vectors (dim {}) to {out}", all.len(), all.dim());
     }
 }
 
@@ -146,7 +165,7 @@ fn gt(flags: &BTreeMap<String, String>) {
     let out = req(flags, "out");
     write_ivecs(std::fs::File::create(out).unwrap_or_else(|e| fail(e)), &records)
         .unwrap_or_else(|e| fail(e));
-    println!(
+    outln!(
         "wrote exact top-{k} of {} queries over {} vectors to {out} ({:.1}s)",
         queries.len(),
         base.len(),
@@ -170,7 +189,7 @@ fn build(flags: &BTreeMap<String, String>) {
     let index = PathWeaverIndex::build(&base, &config).unwrap_or_else(|e| fail(e));
     let out = req(flags, "out");
     save_index(&index, out).unwrap_or_else(|e| fail(e));
-    println!(
+    outln!(
         "built {} shards over {} vectors in {:.1}s ({:.1}% auxiliary overhead); saved to {out}",
         devices,
         base.len(),
@@ -217,13 +236,13 @@ fn search(flags: &BTreeMap<String, String>) {
     } else {
         index.search_pipelined(&queries, &params)
     };
-    println!(
+    outln!(
         "searched {} queries: simulated makespan {:.3} ms, sim-QPS {:.0}",
         queries.len(),
         out.makespan_s * 1e3,
         out.qps
     );
-    println!(
+    outln!(
         "time split: {:.1}% L2 / {:.1}% rest / {:.1}% comm",
         100.0 * out.breakdown.dist_s / out.breakdown.total_s().max(f64::MIN_POSITIVE),
         100.0 * out.breakdown.other_s / out.breakdown.total_s().max(f64::MIN_POSITIVE),
@@ -232,13 +251,13 @@ fn search(flags: &BTreeMap<String, String>) {
     if let Some(path) = flags.get("out") {
         write_ivecs(std::fs::File::create(path).unwrap_or_else(|e| fail(e)), &out.results)
             .unwrap_or_else(|e| fail(e));
-        println!("wrote result ids to {path}");
+        outln!("wrote result ids to {path}");
     } else {
         for (q, hits) in out.results.iter().enumerate().take(5) {
-            println!("query {q}: {hits:?}");
+            outln!("query {q}: {hits:?}");
         }
         if out.results.len() > 5 {
-            println!("... ({} more; use --out to save all)", out.results.len() - 5);
+            outln!("... ({} more; use --out to save all)", out.results.len() - 5);
         }
     }
 }
@@ -255,13 +274,13 @@ fn eval(flags: &BTreeMap<String, String>) {
     let k = opt_parse(flags, "k", 10usize);
     let mean: f64 = results.iter().zip(&truth).map(|(r, t)| recall_at_k(t, r, k)).sum::<f64>()
         / results.len().max(1) as f64;
-    println!("recall@{k} = {mean:.4} over {} queries", results.len());
+    outln!("recall@{k} = {mean:.4} over {} queries", results.len());
 }
 
 fn verify(flags: &BTreeMap<String, String>) {
     let dir = req(flags, "index");
     let report = verify_store(dir).unwrap_or_else(|e| fail(e));
-    println!(
+    outln!(
         "{dir}: segment store OK — {} sections, {} checksum-verified; \
          wal: {} records, {} torn bytes",
         report.sections,
@@ -270,7 +289,7 @@ fn verify(flags: &BTreeMap<String, String>) {
         report.wal_torn_bytes,
     );
     if report.wal_torn_bytes > 0 {
-        println!("note: the torn tail is an expected crash artifact; opening the store repairs it");
+        outln!("note: the torn tail is an expected crash artifact; opening the store repairs it");
     }
 }
 
@@ -281,7 +300,7 @@ fn compact(flags: &BTreeMap<String, String>) {
     // resets the WAL.
     let store = DurableIndex::open(dir).unwrap_or_else(|e| fail(e));
     ConcurrentIndex::durable(store).compact().unwrap_or_else(|e| fail(e));
-    println!("compacted {dir} in {:.1}s (wal folded into a fresh segment)", sw.elapsed_secs());
+    outln!("compacted {dir} in {:.1}s (wal folded into a fresh segment)", sw.elapsed_secs());
 }
 
 /// Boots an in-process cluster over the given dataset and routes query
@@ -324,7 +343,7 @@ fn cluster(flags: &BTreeMap<String, String>) {
     let sw = pathweaver_obs::Stopwatch::start();
     let cluster = LocalCluster::launch(&base, &index_config, &cluster_config, nodes, transport)
         .unwrap_or_else(|e| fail(e));
-    println!(
+    outln!(
         "cluster up in {:.1}s: {} nodes ({:?}), {} partitions x {} replicas; placement {:?}",
         sw.elapsed_secs(),
         nodes,
@@ -340,7 +359,7 @@ fn cluster(flags: &BTreeMap<String, String>) {
         let out = cluster.router().search(&queries, &params).unwrap_or_else(|e| fail(e));
         total_queries += queries.len() as u64;
         failovers += out.failovers;
-        println!(
+        outln!(
             "batch {batch}: {} queries, simulated makespan {:.3} ms, {} rpc attempts",
             queries.len(),
             out.makespan_s * 1e3,
@@ -350,9 +369,9 @@ fn cluster(flags: &BTreeMap<String, String>) {
     let busy = cluster.router().node_busy_s();
     let max_busy = busy.iter().copied().fold(0.0f64, f64::max);
     for (node, b) in busy.iter().enumerate() {
-        println!("node {node}: {:.3} ms simulated busy time", b * 1e3);
+        outln!("node {node}: {:.3} ms simulated busy time", b * 1e3);
     }
-    println!(
+    outln!(
         "served {total_queries} queries over {batches} batches: sim-QPS {:.0}, {failovers} failovers, {} / {} nodes alive",
         total_queries as f64 / max_busy.max(f64::MIN_POSITIVE),
         cluster.router().alive().iter().filter(|&&a| a).count(),
@@ -363,7 +382,7 @@ fn cluster(flags: &BTreeMap<String, String>) {
 
 fn info(flags: &BTreeMap<String, String>) {
     let index = load_index(req(flags, "index")).unwrap_or_else(|e| fail(e));
-    println!(
+    outln!(
         "PathWeaver index: {} vectors (dim {}), {} shards",
         index.num_vectors,
         index.dim(),
@@ -371,7 +390,7 @@ fn info(flags: &BTreeMap<String, String>) {
     );
     for (s, shard) in index.shards.iter().enumerate() {
         let resident: u64 = shard.resident_bytes().iter().map(|(_, b)| b).sum();
-        println!(
+        outln!(
             "  shard {s}: {} vectors, degree {}, ghost {}, dir-table {}, tombstones {}, {} resident",
             shard.len(),
             shard.graph.degree(),

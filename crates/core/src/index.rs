@@ -239,8 +239,6 @@ pub struct PathWeaverIndex {
     /// every pinned snapshot, and the first mutation after a publish
     /// copies just the shard it lands on (`Arc::make_mut`).
     pub shards: Vec<Arc<ShardIndex>>,
-    /// Shard assignment (kept for dynamic updates).
-    pub assignment: ShardAssignment,
     /// Build-phase timing (Fig 17).
     pub build_report: BuildReport,
     /// Per-device simulated memory ledgers.
@@ -342,7 +340,6 @@ impl PathWeaverIndex {
         Ok(Self {
             config: config.clone(),
             shards,
-            assignment,
             build_report: report,
             ledgers,
             num_vectors: dataset.len(),
@@ -357,6 +354,11 @@ impl PathWeaverIndex {
     /// Vector dimensionality.
     pub fn dim(&self) -> usize {
         self.shards[0].vectors.dim()
+    }
+
+    /// Number of live (non-tombstoned, non-compacted) vectors.
+    pub fn live_vectors(&self) -> usize {
+        self.shards.iter().map(|s| s.len() - s.deleted.count()).sum()
     }
 }
 

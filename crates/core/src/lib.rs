@@ -24,13 +24,13 @@
 //!   partitions to nodes, N-way replication with read fan-out, health
 //!   checks and failover; a 1-node cluster is bit-identical to
 //!   [`serve::serve_once`].
-//! - [`dynamic`]: shard-local insertions, logical deletions and shard
-//!   rebuilds (§6.2).
-//! - [`snapshot`]: the one writer — [`snapshot::ConcurrentIndex`] applies
-//!   every mutation, publishes immutable point-in-time snapshots that
-//!   searches pin, appends to the WAL first when the index is durable, and
-//!   folds the WAL into the segment. A static index is a snapshot that is
-//!   never republished.
+//! - [`snapshot`]: the one writer and the only mutation surface —
+//!   [`snapshot::ConcurrentIndex`] applies every mutation of §6.2
+//!   (insert into the smallest shard, tombstone on delete, rebuild a
+//!   heavily-deleted shard), publishes immutable point-in-time snapshots
+//!   that searches pin, appends to the WAL first when the index is durable,
+//!   and folds the WAL into the segment. A static index is a snapshot that
+//!   is never republished.
 //! - [`store`]: the durable index store — one checksummed zero-copy segment
 //!   file plus a write-ahead log, recovered by [`store::load_index`] or
 //!   [`DurableIndex::open`].
@@ -62,7 +62,6 @@
 pub mod baselines;
 pub mod cluster;
 pub mod config;
-pub mod dynamic;
 pub mod eval;
 pub mod index;
 pub mod naive;
@@ -76,10 +75,11 @@ pub mod store;
 
 pub use cluster::{ClusterError, ClusterOutput, LocalCluster, Router};
 pub use config::{ClusterConfig, PathWeaverConfig};
-pub use dynamic::{DeleteOutcome, MaintainError};
 pub use index::{PathWeaverIndex, SearchOutput, ShardIndex};
 pub use serve::{QueryResult, QueryTicket, ServeConfig, ServeError, Server, SubmitError};
-pub use snapshot::{ConcurrentError, ConcurrentIndex, IndexSnapshot, MaintainerHandle};
+pub use snapshot::{
+    ConcurrentError, ConcurrentIndex, DeleteOutcome, IndexSnapshot, MaintainerHandle,
+};
 pub use store::{DurableIndex, StoreError, StoreReport};
 
 /// Convenience re-exports for downstream users.
@@ -87,13 +87,14 @@ pub mod prelude {
     pub use crate::baselines::{CagraBaseline, GgnnBaseline, HnswBaseline};
     pub use crate::cluster::{ClusterError, ClusterOutput, LocalCluster, Router, TransportKind};
     pub use crate::config::{ClusterConfig, PathWeaverConfig};
-    pub use crate::dynamic::{DeleteOutcome, MaintainError};
     pub use crate::eval::{qps_at_recall, sweep_beam, sweep_iterations, SweepPoint};
     pub use crate::index::{PathWeaverIndex, SearchOutput, ShardIndex};
     pub use crate::serve::{
         QueryResult, QueryTicket, ServeConfig, ServeError, Server, SubmitError,
     };
-    pub use crate::snapshot::{ConcurrentError, ConcurrentIndex, IndexSnapshot, MaintainerHandle};
+    pub use crate::snapshot::{
+        ConcurrentError, ConcurrentIndex, DeleteOutcome, IndexSnapshot, MaintainerHandle,
+    };
     pub use crate::store::{DurableIndex, StoreError, StoreReport};
     pub use pathweaver_datasets::{recall_batch, DatasetProfile, Scale, Workload};
     pub use pathweaver_gpusim::{CostModel, DeviceSpec, RingTopology};

@@ -431,10 +431,10 @@ impl Server {
         Ok(QueryTicket { rx })
     }
 
-    /// Submits every row of `queries` in order, returning one ticket per
-    /// row. The cluster layer's per-node front end serves each RPC through
-    /// this path (on a server sized to the request, so the rows form one
-    /// exclusive micro-batch — the determinism contract above).
+    /// Submits every row of `queries` in order through the admission queue,
+    /// returning one ticket per row. A one-shot batch without serving
+    /// threads — what the cluster node answers each RPC with — is
+    /// [`serve_once`].
     ///
     /// # Errors
     ///

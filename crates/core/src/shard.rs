@@ -3,10 +3,9 @@
 
 use pathweaver_vector::VectorSet;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// Assignment of every global vector to exactly one shard.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardAssignment {
     /// `members[s]` lists the global ids of shard `s`, ascending.
     members: Vec<Vec<u32>>,
@@ -34,11 +33,6 @@ impl ShardAssignment {
         Self { members }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.members.len()
-    }
-
     /// Global ids of shard `s` (ascending; index = local id).
     pub fn members(&self, s: usize) -> &[u32] {
         &self.members[s]
@@ -49,32 +43,6 @@ impl ShardAssignment {
         let rows: Vec<usize> = self.members[s].iter().map(|&g| g as usize).collect();
         all.gather(&rows)
     }
-
-    /// Total items across shards.
-    pub fn total(&self) -> usize {
-        self.members.iter().map(Vec::len).sum()
-    }
-
-    /// Index of the smallest shard (insertion target for dynamic updates).
-    pub fn smallest_shard(&self) -> usize {
-        self.members
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, m)| m.len())
-            .map(|(s, _)| s)
-            .expect("at least one shard")
-    }
-
-    /// Appends a new global id to shard `s`, returning its local id.
-    pub fn push(&mut self, s: usize, global_id: u32) -> u32 {
-        self.members[s].push(global_id);
-        (self.members[s].len() - 1) as u32
-    }
-
-    /// Replaces shard `s`'s membership after a physical rebuild (§6.2).
-    pub fn set_members(&mut self, s: usize, members: Vec<u32>) {
-        self.members[s] = members;
-    }
 }
 
 #[cfg(test)]
@@ -84,8 +52,6 @@ mod tests {
     #[test]
     fn partition_is_exact_and_balanced() {
         let a = ShardAssignment::random(1003, 4, 9);
-        assert_eq!(a.num_shards(), 4);
-        assert_eq!(a.total(), 1003);
         let mut all: Vec<u32> = (0..4).flat_map(|s| a.members(s).to_vec()).collect();
         all.sort_unstable();
         assert_eq!(all, (0..1003u32).collect::<Vec<_>>());
@@ -112,23 +78,6 @@ mod tests {
                 assert_eq!(shard.row(local), all.row(global as usize));
             }
         }
-    }
-
-    #[test]
-    fn push_appends_local_id() {
-        let mut a = ShardAssignment::random(10, 2, 2);
-        let before = a.members(0).len();
-        let local = a.push(0, 99);
-        assert_eq!(local as usize, before);
-        assert_eq!(a.members(0)[before], 99);
-    }
-
-    #[test]
-    fn smallest_shard_found() {
-        let mut a = ShardAssignment::random(9, 3, 3);
-        a.push(1, 100);
-        // Shards 0 and 2 have 3, shard 1 has 4 → smallest is 0 or 2.
-        assert_ne!(a.smallest_shard(), 1);
     }
 
     #[test]

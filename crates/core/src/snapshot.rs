@@ -1,16 +1,17 @@
-//! The one writer: snapshot-isolated mutation (MVCC) with optional
-//! write-ahead durability.
+//! The one writer: the paper's update model (§6.2), applied with
+//! snapshot-isolated mutation (MVCC) and optional write-ahead durability.
 //!
-//! [`PathWeaverIndex`]'s mutations take `&mut self`, so under the serving
-//! layer a single insert would stall every in-flight search.
-//! [`ConcurrentIndex`] removes that coupling with a multi-version scheme
-//! built on the index's shard-granular copy-on-write spine
-//! (`Vec<Arc<ShardIndex>>`), and it is the only code that mutates an index
-//! someone may be reading:
+//! Insertions go to the smallest shard, deletions are tombstones, and a
+//! heavily-deleted shard is rebuilt from its survivors. Those shard-level
+//! mutations are crate-private functions here; [`ConcurrentIndex`] is their
+//! only public door (WAL replay is the one other caller), so
+//! [`PathWeaverIndex`] itself is read-only. The writer never blocks a
+//! search: it runs a multi-version scheme built on the index's
+//! shard-granular copy-on-write spine (`Vec<Arc<ShardIndex>>`):
 //!
 //! - **Readers pin, never lock.** [`ConcurrentIndex::pin`] hands out the
-//!   current [`IndexSnapshot`] — an immutable point-in-time view (shards,
-//!   tombstone bitmaps, assignment) behind an `Arc`. A search batch pins
+//!   current [`IndexSnapshot`] — an immutable point-in-time view (shards
+//!   and their tombstone bitmaps) behind an `Arc`. A search batch pins
 //!   once and reads the same snapshot for its whole lifetime; no torn
 //!   tombstone words, no half-published delta, ever. A static index is the
 //!   degenerate case: version 0, never republished.
@@ -35,10 +36,11 @@
 //!   publishes. [`ConcurrentIndex::spawn_maintainer`] runs this on a timer
 //!   thread.
 
-use crate::dynamic::{self, DeleteOutcome, MaintainError};
+use crate::config::PathWeaverConfig;
 use crate::index::{PathWeaverIndex, ShardIndex};
 use crate::store::{self, wal, DurableIndex, StoreError};
 use parking_lot::{Condvar, Mutex, RwLock};
+use pathweaver_graph::greedy_search;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,8 +48,8 @@ use std::sync::Arc;
 /// An immutable point-in-time view of the index.
 ///
 /// Everything a search touches — shard vectors, graphs, auxiliaries,
-/// tombstone bitmaps, the assignment — is frozen at the version this
-/// snapshot was published. Snapshots are cheap: the contained index shares
+/// tombstone bitmaps — is frozen at the version this snapshot was
+/// published. Snapshots are cheap: the contained index shares
 /// its shards (`Arc` per shard) with the writer master and with every other
 /// snapshot that has not diverged from it.
 #[derive(Debug, Clone)]
@@ -69,20 +71,40 @@ impl IndexSnapshot {
     }
 }
 
+/// What a [`ConcurrentIndex::delete_outcome`] call actually did.
+///
+/// Delete-unknown and delete-twice stay distinguishable for the call sites
+/// that care (WAL replay, client error reporting), while every case stays
+/// idempotent: replaying any of the three is a no-op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeleteOutcome {
+    /// The id was live and is now tombstoned.
+    Applied,
+    /// The id exists but was already tombstoned (or compacted away after a
+    /// tombstone by [`ConcurrentIndex::maintain`] — its slot is gone but the
+    /// id was once deleted).
+    AlreadyDeleted,
+    /// The id was never allocated (at or above the id high-water mark).
+    Unknown,
+}
+
 /// Errors surfaced by [`ConcurrentIndex`] mutations.
 #[derive(Debug)]
 pub enum ConcurrentError {
     /// WAL/segment IO failed (durable indices only).
     Store(StoreError),
-    /// Invalid maintenance parameters.
-    Maintain(MaintainError),
+    /// A maintenance `rebuild_threshold` outside `(0, 1]`.
+    InvalidThreshold {
+        /// The rejected value.
+        got: f64,
+    },
 }
 
 impl std::fmt::Display for ConcurrentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Store(e) => write!(f, "{e}"),
-            Self::Maintain(e) => write!(f, "{e}"),
+            Self::InvalidThreshold { got } => write!(f, "rebuild threshold {got} out of (0, 1]"),
         }
     }
 }
@@ -91,7 +113,7 @@ impl std::error::Error for ConcurrentError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Store(e) => Some(e),
-            Self::Maintain(e) => Some(e),
+            Self::InvalidThreshold { .. } => None,
         }
     }
 }
@@ -102,9 +124,14 @@ impl From<StoreError> for ConcurrentError {
     }
 }
 
-impl From<MaintainError> for ConcurrentError {
-    fn from(e: MaintainError) -> Self {
-        Self::Maintain(e)
+/// The one threshold check behind [`ConcurrentIndex::maintain`] and
+/// [`ConcurrentIndex::spawn_maintainer`]: a bad value from a live serving
+/// path must surface as a value, not a panic.
+fn check_threshold(rebuild_threshold: f64) -> Result<(), ConcurrentError> {
+    if rebuild_threshold > 0.0 && rebuild_threshold <= 1.0 {
+        Ok(())
+    } else {
+        Err(ConcurrentError::InvalidThreshold { got: rebuild_threshold })
     }
 }
 
@@ -234,8 +261,7 @@ impl ConcurrentIndex {
             // can observe the state that contains it.
             w.append_insert(expected, vector).map_err(ConcurrentError::Store)?;
         }
-        let target = st.master.assignment.smallest_shard();
-        let id = st.master.insert(vector);
+        let (id, target) = insert_into_smallest(&mut st.master, vector);
         debug_assert_eq!(id, expected);
         st.epochs[target] += 1;
         // Relaxed: monotonic stat, reset under the writer lock (held here);
@@ -263,13 +289,9 @@ impl ConcurrentIndex {
         if let Some(w) = st.wal.as_mut() {
             w.append_delete(global_id).map_err(ConcurrentError::Store)?;
         }
-        let hit =
-            st.master.shards.iter().position(|sh| sh.global_ids.binary_search(&global_id).is_ok());
-        let outcome = st.master.delete_outcome(global_id);
-        if outcome.applied() {
-            if let Some(s) = hit {
-                st.epochs[s] += 1;
-            }
+        let (outcome, hit) = tombstone(&mut st.master, global_id);
+        if let Some(s) = hit {
+            st.epochs[s] += 1;
             // Relaxed: monotonic stat, reset under the writer lock (held
             // here); nothing is published through it.
             self.backlog.fetch_add(1, Ordering::Relaxed);
@@ -284,25 +306,26 @@ impl ConcurrentIndex {
     }
 
     /// Rebuilds every shard whose tombstone fraction reaches
-    /// `rebuild_threshold`, with the expensive graph builds running
-    /// **outside** the writer lock: searches pin snapshots and mutations
-    /// stream throughout. A shard mutated between the off-lock rebuild and
-    /// the install is detected by its epoch and skipped (retried on the
-    /// next pass). On durable indices an install folds the WAL into the
-    /// segment in the same critical section — a rebuild changes shard
-    /// sizes, and replaying the old log against the new shape would send
-    /// replayed inserts to different shards. Returns the number of shards
-    /// whose rebuilds were installed.
+    /// `rebuild_threshold` (§6.2) from its survivors, plus both inter-shard
+    /// tables touching it (see `rebuild_shard` for the remnant and bridge
+    /// regimes). The expensive graph builds run **outside** the writer
+    /// lock: searches pin snapshots and mutations stream throughout. A
+    /// shard mutated between the off-lock rebuild and the install is
+    /// detected by its epoch and skipped (retried on the next pass). On
+    /// durable indices an install folds the WAL into the segment in the
+    /// same critical section — a rebuild changes shard sizes, and replaying
+    /// the old log against the new shape would send replayed inserts to
+    /// different shards. Returns the number of shards whose rebuilds were
+    /// installed.
     ///
     /// # Errors
     ///
-    /// [`ConcurrentError::Maintain`] for a threshold outside `(0, 1]`;
-    /// [`ConcurrentError::Store`] when the durable fold fails (the in-memory
-    /// install has already happened and is preserved).
+    /// [`ConcurrentError::InvalidThreshold`] for a threshold outside
+    /// `(0, 1]` (the index is unchanged); [`ConcurrentError::Store`] when
+    /// the durable fold fails (the in-memory install has already happened
+    /// and is preserved).
     pub fn maintain(&self, rebuild_threshold: f64) -> Result<usize, ConcurrentError> {
-        if !(rebuild_threshold > 0.0 && rebuild_threshold <= 1.0) {
-            return Err(MaintainError::InvalidThreshold { got: rebuild_threshold }.into());
-        }
+        check_threshold(rebuild_threshold)?;
         // Phase 1 — short lock: pick candidates, pin their inputs.
         let (candidates, config) = {
             let st = self.writer.lock();
@@ -311,7 +334,7 @@ impl ConcurrentIndex {
                 .shards
                 .iter()
                 .enumerate()
-                .filter(|(_, sh)| dynamic::shard_needs_rebuild(sh, rebuild_threshold))
+                .filter(|(_, sh)| shard_needs_rebuild(sh, rebuild_threshold))
                 .map(|(s, sh)| (s, Arc::clone(sh), st.epochs[s]))
                 .collect();
             (picks, st.master.config.clone())
@@ -323,7 +346,7 @@ impl ConcurrentIndex {
         // Phase 2 — no lock: the CAGRA rebuilds, the expensive part.
         let built: Vec<(usize, u64, ShardIndex)> = candidates
             .into_iter()
-            .map(|(s, sh, epoch)| (s, epoch, dynamic::rebuild_shard(&sh, &config, s)))
+            .map(|(s, sh, epoch)| (s, epoch, rebuild_shard(&sh, &config, s)))
             .collect();
 
         // Phase 3 — lock: validate epochs, install, fold, publish.
@@ -336,7 +359,7 @@ impl ConcurrentIndex {
                 // are still there, the next pass rebuilds from fresh state.
                 continue;
             }
-            st.master.install_rebuilt(s, Arc::new(shard));
+            install_rebuilt(&mut st.master, s, Arc::new(shard));
             st.epochs[s] += 1;
             let n = st.master.shards.len();
             if n > 1 {
@@ -363,17 +386,15 @@ impl ConcurrentIndex {
     ///
     /// # Errors
     ///
-    /// [`ConcurrentError::Maintain`] for a threshold outside `(0, 1]`
-    /// (validated up front so the background loop cannot fail on it);
-    /// [`ConcurrentError::Store`] when the OS refuses the thread.
+    /// [`ConcurrentError::InvalidThreshold`] for a threshold outside
+    /// `(0, 1]` (validated up front so the background loop cannot fail on
+    /// it); [`ConcurrentError::Store`] when the OS refuses the thread.
     pub fn spawn_maintainer(
         self: &Arc<Self>,
         rebuild_threshold: f64,
         interval_ms: f64,
     ) -> Result<MaintainerHandle, ConcurrentError> {
-        if !(rebuild_threshold > 0.0 && rebuild_threshold <= 1.0) {
-            return Err(MaintainError::InvalidThreshold { got: rebuild_threshold }.into());
-        }
+        check_threshold(rebuild_threshold)?;
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let index = Arc::clone(self);
         let thread_stop = Arc::clone(&stop);
@@ -400,8 +421,8 @@ impl ConcurrentIndex {
     }
 
     fn publish(&self, st: &WriterState) {
-        // The master's shards are Arcs, so this clone copies the spine and
-        // the assignment, never vector/graph payloads.
+        // The master's shards are Arcs, so this clone copies the spine,
+        // never vector/graph payloads.
         let index = Arc::new(st.master.clone());
         let mut slot = self.published.write();
         *slot = Arc::new(IndexSnapshot { index, version: slot.version + 1 });
@@ -476,12 +497,323 @@ impl Drop for MaintainerHandle {
     }
 }
 
+// Shard-level mutations (§6.2). The writer applies them to its master
+// under the writer lock, and WAL replay ([`wal::apply_records`]) applies
+// them to a freshly loaded index; nothing else mutates an index.
+
+/// Inserts `vector` into the smallest shard, returning its new global id
+/// and the shard it landed in.
+///
+/// The new node's adjacency row is found by a build-quality graph search,
+/// the direction table and the shard's outgoing `I(u)` entry are extended
+/// incrementally, and the ghost shard is left untouched (it is a random
+/// sample; one more point does not move it).
+///
+/// # Panics
+///
+/// Panics if `vector.len()` differs from the index dimensionality.
+pub(crate) fn insert_into_smallest(index: &mut PathWeaverIndex, vector: &[f32]) -> (u32, usize) {
+    assert_eq!(vector.len(), index.dim(), "dimensionality mismatch");
+    // The first of the smallest shards.
+    let s = (1..index.shards.len()).fold(0, |best, s| {
+        if index.shards[s].len() < index.shards[best].len() {
+            s
+        } else {
+            best
+        }
+    });
+    // `num_vectors` is a high-water mark for id allocation (a rebuild never
+    // rewinds it), so ids stay unique and per-shard `global_ids` stay
+    // ascending — which `tombstone` relies on for binary search.
+    let global_id = index.num_vectors as u32;
+    index.num_vectors += 1;
+
+    let degree = index.shards[s].graph.degree();
+    let next = (s + 1) % index.shards.len();
+
+    // Locate the new node's neighbors with a build-quality search, entering
+    // through the ghost shard when one exists (random-only entries can
+    // strand the search in a far region of the graph).
+    let mut entries: Vec<u32> = (0..16)
+        .map(|i| {
+            (pathweaver_util::seed_from_parts(index.config.seed, "insert", global_id as u64 + i)
+                % index.shards[s].len() as u64) as u32
+        })
+        .collect();
+    if let Some(ghost) = &index.shards[s].ghost {
+        let ghost_hits = greedy_search(&ghost.graph, &ghost.vectors, vector, &[0], 8, 2);
+        entries.extend(ghost_hits.iter().map(|&(_, g)| ghost.original_id(g)));
+    }
+    let hits = greedy_search(
+        &index.shards[s].graph,
+        &index.shards[s].vectors,
+        vector,
+        &entries,
+        (degree * 2).max(16),
+        degree,
+    );
+    let mut row: Vec<u32> = hits.iter().map(|&(_, id)| id).collect();
+    // Pad pathological underfull rows by wrapping over the shard. Only
+    // locals that exist before this push are legal neighbors: an unbounded
+    // pad fabricates ids at or past the new node's own id (a self-loop at
+    // best, an out-of-range panic at worst) whenever the shard is smaller
+    // than the degree.
+    let existing = index.shards[s].len() as u32;
+    let mut pad = 0u32;
+    while row.len() < degree && pad < existing {
+        if !row.contains(&pad) {
+            row.push(pad);
+        }
+        pad += 1;
+    }
+    // A shard smaller than the degree cycles its own row; duplicate
+    // neighbors are legal in a fixed-degree graph.
+    let mut wrap = 0;
+    while row.len() < degree {
+        row.push(row[wrap]);
+        wrap += 1;
+    }
+
+    // Extend every affected structure in dependency order. The first
+    // mutation after a snapshot publish copies the shard (`make_mut`);
+    // pinned snapshots keep reading the old Arc untouched.
+    let shard = Arc::make_mut(&mut index.shards[s]);
+    shard.vectors.push(vector);
+    // The quantized tier encodes with the shard's frozen scales/offsets
+    // (re-deriving them would re-code every row); out-of-range values clamp
+    // to ±127 and are repaired by the exact re-rank at query time.
+    if let Some(q) = shard.quantized.as_mut() {
+        q.push(vector);
+    }
+    let local = shard.graph.push_node(&row);
+    shard.global_ids.push(global_id);
+    shard.deleted.grow(shard.vectors.len());
+    if let Some(table) = shard.dir_table.as_mut() {
+        table.push_node(&shard.vectors, &shard.graph);
+    }
+    debug_assert_eq!(local as usize, shard.vectors.len() - 1);
+
+    // Reverse edges: searches reach the new node only through in-edges, so
+    // each forward neighbor replaces its farthest out-edge with the
+    // newcomer when the newcomer is closer. The nearest neighbor adopts the
+    // newcomer unconditionally — an outlier insert would otherwise have
+    // in-degree zero and be unreachable forever.
+    for (rank, &v) in row.iter().enumerate() {
+        let force = rank == 0;
+        let d_new = pathweaver_vector::l2_squared(
+            shard.vectors.row(v as usize),
+            shard.vectors.row(local as usize),
+        );
+        let mut vrow: Vec<u32> = shard.graph.neighbors(v).to_vec();
+        let (worst_j, worst_d) = vrow
+            .iter()
+            .enumerate()
+            .map(|(j, &w)| {
+                (
+                    j,
+                    pathweaver_vector::l2_squared(
+                        shard.vectors.row(v as usize),
+                        shard.vectors.row(w as usize),
+                    ),
+                )
+            })
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            // lint: allow(hot-panic) — degree > 0: configs validate it, and
+            // the segment reader rejects a zero-degree graph as Corrupt.
+            .expect("positive degree");
+        if (force || d_new < worst_d) && !vrow.contains(&local) {
+            vrow[worst_j] = local;
+            shard.graph.set_neighbors(v, &vrow);
+            if let Some(table) = shard.dir_table.as_mut() {
+                table.rebuild_node(&shard.vectors, &shard.graph, v);
+            }
+        }
+    }
+
+    // Outgoing inter-shard edge of the new node (incoming edges from the
+    // previous shard stay stale — the paper argues a small local change
+    // does not affect existing similarities).
+    if index.shards.len() > 1 {
+        let target = {
+            let next_shard = &index.shards[next];
+            let entries: Vec<u32> = (0..4)
+                .map(|i| {
+                    (pathweaver_util::seed_from_parts(
+                        index.config.seed,
+                        "isd",
+                        global_id as u64 + i,
+                    ) % next_shard.len() as u64) as u32
+                })
+                .collect();
+            greedy_search(
+                &next_shard.graph,
+                &next_shard.vectors,
+                vector,
+                &entries,
+                index.config.intershard.beam,
+                1,
+            )[0]
+            .1
+        };
+        // The shard Arc is already unique after the `make_mut` above, so
+        // this second `make_mut` is a pointer check, not a clone.
+        Arc::make_mut(&mut index.shards[s])
+            .intershard
+            .as_mut()
+            // lint: allow(hot-panic) — built multi-device indices carry the
+            // tables, and the segment reader rejects one without them.
+            .expect("multi-device index has inter-shard tables")
+            .push(target);
+    }
+
+    (global_id, s)
+}
+
+/// Logically deletes a global id: a tombstone hides the node from results
+/// while it keeps serving as a bridge, preserving connectivity exactly as
+/// the paper suggests. Returns which of the three cases occurred and, when
+/// the tombstone landed, the shard it landed in. Idempotent: replaying the
+/// same delete (WAL recovery) reports [`DeleteOutcome::AlreadyDeleted`]
+/// and changes nothing.
+pub(crate) fn tombstone(
+    index: &mut PathWeaverIndex,
+    global_id: u32,
+) -> (DeleteOutcome, Option<usize>) {
+    for (s, shard) in index.shards.iter_mut().enumerate() {
+        // `global_ids` is ascending (built sorted; inserts append
+        // monotonically increasing ids), so each shard is one binary search
+        // instead of a linear scan.
+        if let Ok(local) = shard.global_ids.binary_search(&global_id) {
+            if shard.deleted.contains(local) {
+                return (DeleteOutcome::AlreadyDeleted, None);
+            }
+            // Copy-on-write: only the hit shard is cloned, and only when a
+            // pinned snapshot still shares it.
+            Arc::make_mut(shard).deleted.insert(local);
+            return (DeleteOutcome::Applied, Some(s));
+        }
+    }
+    if (global_id as usize) < index.num_vectors {
+        // Below the high-water mark but in no shard: the slot was
+        // tombstoned and then compacted away by a rebuild.
+        (DeleteOutcome::AlreadyDeleted, None)
+    } else {
+        (DeleteOutcome::Unknown, None)
+    }
+}
+
+/// Whether maintenance at `rebuild_threshold` would rebuild this shard. The
+/// minimal bridge remnant (one node, tombstoned) is exempt: rebuilding it
+/// again every pass would make maintenance permanently non-idle.
+pub(crate) fn shard_needs_rebuild(shard: &ShardIndex, rebuild_threshold: f64) -> bool {
+    let dead = shard.deleted.count();
+    if dead == 0 || (dead as f64) < rebuild_threshold * shard.len() as f64 {
+        return false;
+    }
+    !(shard.len() == 1 && dead == 1)
+}
+
+/// Builds the replacement for a heavily-deleted shard from its survivors:
+/// graph, auxiliaries and quantized tier, but no inter-shard table — the
+/// caller installs those via [`install_rebuilt`], because they depend on the
+/// neighbor shards at install time.
+///
+/// Three regimes by survivor count: a full CAGRA rebuild above
+/// `degree + 1`; a dense brute-force remnant (every node cycles over the
+/// other survivors; duplicate neighbors are legal in a fixed-degree graph)
+/// down to one survivor; and, when every node is tombstoned, a single
+/// tombstoned bridge node with a self-loop row, so the shard (and the ring
+/// through it) stays searchable without ever surfacing in results.
+pub(crate) fn rebuild_shard(shard: &ShardIndex, config: &PathWeaverConfig, s: usize) -> ShardIndex {
+    let survivors: Vec<usize> = (0..shard.len()).filter(|&l| !shard.deleted.contains(l)).collect();
+    let degree = config.graph.degree;
+    let full_rebuild = survivors.len() > degree + 1;
+    // A fully-tombstoned shard keeps node 0 as its tombstoned bridge.
+    let keep: &[usize] = if survivors.is_empty() { &[0] } else { &survivors };
+    let vectors = shard.vectors.gather(keep);
+    let global_ids: Vec<u32> = keep.iter().map(|&l| shard.global_ids[l]).collect();
+    let graph = if full_rebuild {
+        pathweaver_graph::cagra_build(&vectors, &config.graph)
+    } else {
+        let m = keep.len();
+        let lists: Vec<Vec<u32>> = (0..m)
+            .map(|u| {
+                (0..degree)
+                    .map(|j| {
+                        if m == 1 {
+                            0 // a lone survivor or the bridge: self-loop row
+                        } else {
+                            ((u + 1 + j % (m - 1)) % m) as u32
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        pathweaver_graph::FixedDegreeGraph::from_lists(degree, &lists)
+    };
+    let mut deleted = pathweaver_util::FixedBitSet::new(keep.len());
+    if survivors.is_empty() {
+        deleted.insert(0);
+    }
+    // Remnant shards skip the ghost/direction auxiliaries: both assume a
+    // graph large enough to sample from, and a brute-force remnant is exact
+    // without them.
+    let dir_table = (config.build_dir_table && full_rebuild)
+        .then(|| pathweaver_graph::DirectionTable::build(&vectors, &graph));
+    let ghost = config.ghost.filter(|_| full_rebuild).map(|mut gp| {
+        gp.seed = pathweaver_util::seed_from_parts(config.seed, "ghost-rebuild", s as u64);
+        pathweaver_graph::GhostShard::build(&vectors, &gp)
+    });
+    // Rebuilds re-derive the quantization grid from the survivors, so
+    // post-insert drift accumulated by frozen-parameter pushes is flushed at
+    // the same cadence as the graph itself.
+    let quantized =
+        config.build_quantized.then(|| pathweaver_vector::QuantizedSet::quantize(&vectors));
+    ShardIndex {
+        global_ids,
+        vectors,
+        graph,
+        dir_table,
+        quantized,
+        ghost,
+        intershard: None,
+        deleted,
+    }
+}
+
+/// Swaps a rebuilt shard in at position `s` and repairs everything that
+/// references its local ids: (multi-device) both inter-shard tables
+/// touching the shard — its outgoing table and the predecessor's table into
+/// it.
+pub(crate) fn install_rebuilt(index: &mut PathWeaverIndex, s: usize, shard: Arc<ShardIndex>) {
+    let n = index.shards.len();
+    index.shards[s] = shard;
+    if n > 1 {
+        let next = (s + 1) % n;
+        let prev = (s + n - 1) % n;
+        let out_table = pathweaver_graph::InterShardTable::build(
+            &index.shards[s].vectors,
+            &index.shards[next].vectors,
+            &index.shards[next].graph,
+            &index.config.intershard,
+        );
+        Arc::make_mut(&mut index.shards[s]).intershard = Some(out_table);
+        let in_table = pathweaver_graph::InterShardTable::build(
+            &index.shards[prev].vectors,
+            &index.shards[s].vectors,
+            &index.shards[s].graph,
+            &index.config.intershard,
+        );
+        Arc::make_mut(&mut index.shards[prev]).intershard = Some(in_table);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PathWeaverConfig;
     use pathweaver_datasets::{DatasetProfile, Scale};
     use pathweaver_search::SearchParams;
+    use pathweaver_vector::VectorSet;
 
     fn built(seed: u64) -> (pathweaver_datasets::Workload, PathWeaverIndex) {
         let w = DatasetProfile::deep10m_like().workload(Scale::Test, 6, 5, seed);
@@ -489,116 +821,60 @@ mod tests {
         (w, idx)
     }
 
-    #[test]
-    fn pinned_snapshot_is_isolated_from_mutation() {
-        let (w, idx) = built(41);
-        let before_live = idx.live_vectors();
-        let ci = ConcurrentIndex::new(idx);
-        let snap = ci.pin();
-        assert_eq!(snap.version(), 0);
-
-        let id = ci.insert(w.base.row(0)).unwrap();
-        assert_eq!(ci.delete_outcome(3).unwrap(), DeleteOutcome::Applied);
-
-        // The pinned snapshot still sees the pre-mutation state.
-        assert_eq!(snap.index().live_vectors(), before_live);
-        assert_eq!(snap.index().num_vectors as u32, id);
-        // A fresh pin sees both mutations and a bumped version.
-        let now = ci.pin();
-        assert!(now.version() > snap.version());
-        assert_eq!(now.index().live_vectors(), before_live); // +1 insert −1 delete
-        assert!(now.index().num_vectors as u32 > id);
+    /// Every other id of shard 0, `take` of them.
+    fn every_other_of_shard0(idx: &PathWeaverIndex, take: usize) -> Vec<u32> {
+        idx.shards[0].global_ids.iter().step_by(2).copied().take(take).collect()
     }
 
-    #[test]
-    fn snapshot_search_is_bitwise_stable_under_streaming_writes() {
-        let (w, idx) = built(43);
-        let params = SearchParams::default();
-        let ci = ConcurrentIndex::new(idx);
-        let snap = ci.pin();
-        let baseline = snap.index().search_pipelined(&w.queries, &params);
-        for i in 0..8 {
-            let novel: Vec<f32> = w.base.row(i).iter().map(|x| x * 1.01).collect();
-            ci.insert(&novel).unwrap();
-            ci.delete_outcome(i as u32).unwrap();
-            let again = snap.index().search_pipelined(&w.queries, &params);
-            assert_eq!(baseline.results, again.results, "pinned snapshot drifted");
-        }
-    }
-
-    #[test]
-    fn zero_mutation_snapshot_matches_plain_index_bitwise() {
-        let (w, idx) = built(47);
-        let params = SearchParams::default();
-        let direct = idx.search_pipelined(&w.queries, &params);
-        let ci = ConcurrentIndex::new(idx);
-        let snapped = ci.pin().index().search_pipelined(&w.queries, &params);
-        assert_eq!(direct.results, snapped.results);
-        for (a, b) in direct.hits.iter().zip(&snapped.hits) {
-            assert_eq!(a.len(), b.len());
-            for (&(da, ia), &(db, ib)) in a.iter().zip(b) {
-                assert_eq!((da.to_bits(), ia), (db.to_bits(), ib));
-            }
-        }
-    }
-
-    #[test]
-    fn maintain_off_lock_matches_inline_maintain() {
-        let (w, idx) = built(53);
-        let mut inline = idx.clone();
-        let ci = ConcurrentIndex::new(idx);
-        let victims: Vec<u32> = inline.shards[0]
-            .global_ids
-            .iter()
-            .step_by(2)
-            .copied()
-            .take(inline.shards[0].len() * 2 / 5)
-            .collect();
-        for &g in &victims {
-            assert_eq!(inline.delete_outcome(g), DeleteOutcome::Applied);
-            assert_eq!(ci.delete_outcome(g).unwrap(), DeleteOutcome::Applied);
-        }
-        assert_eq!(inline.maintain(0.3).unwrap(), 1);
-        assert_eq!(ci.maintain(0.3).unwrap(), 1);
-        let snap = ci.pin();
-        let a = inline.search_pipelined(&w.queries, &SearchParams::default());
-        let b = snap.index().search_pipelined(&w.queries, &SearchParams::default());
-        assert_eq!(a.results, b.results, "off-lock maintain diverged from inline maintain");
+    fn single_query(v: &[f32]) -> VectorSet {
+        let mut queries = VectorSet::empty(v.len());
+        queries.push(v);
+        queries
     }
 
     #[test]
     fn maintain_rejects_bad_threshold_as_value() {
         let (_, idx) = built(59);
-        let ci = ConcurrentIndex::new(idx);
-        assert!(matches!(
-            ci.maintain(0.0),
-            Err(ConcurrentError::Maintain(MaintainError::InvalidThreshold { .. }))
-        ));
-        assert!(matches!(ci.maintain(1.5), Err(ConcurrentError::Maintain(_))));
-        let arc = Arc::new(ci);
-        assert!(arc.spawn_maintainer(-1.0, 5.0).is_err());
+        let ci = Arc::new(ConcurrentIndex::new(idx));
+        for bad in [0.0, -0.3, 1.5, f64::NAN] {
+            let invalid = |e| matches!(e, ConcurrentError::InvalidThreshold { .. });
+            assert!(ci.maintain(bad).is_err_and(invalid), "{bad} accepted");
+            assert!(ci.spawn_maintainer(bad, 5.0).is_err_and(invalid), "{bad} accepted");
+        }
+        // A valid threshold still works after the rejections.
+        assert_eq!(ci.maintain(1.0).unwrap(), 0);
     }
 
     #[test]
-    fn backlog_tracks_unfolded_mutations() {
-        let (w, idx) = built(61);
+    fn delete_outcome_three_way() {
+        let (w, idx) = built(13);
+        let victims = every_other_of_shard0(&idx, idx.shards[0].len() * 2 / 5);
         let ci = ConcurrentIndex::new(idx);
-        assert_eq!(ci.merge_backlog(), 0);
-        ci.insert(w.base.row(0)).unwrap();
-        ci.delete_outcome(0).unwrap();
-        assert_eq!(ci.merge_backlog(), 2);
-        // Double delete is a no-op and does not inflate the backlog.
-        assert_eq!(ci.delete_outcome(0).unwrap(), DeleteOutcome::AlreadyDeleted);
-        assert_eq!(ci.merge_backlog(), 2);
-    }
-
-    #[test]
-    fn delete_outcome_distinguishes_unknown_from_double_delete() {
-        let (_, idx) = built(67);
-        let ci = ConcurrentIndex::new(idx);
+        // Query for an exact base vector, then tombstone it.
+        let queries = single_query(w.base.row(7));
+        let found = |ci: &ConcurrentIndex| {
+            let out = ci.pin().index().search_pipelined(&queries, &SearchParams::default());
+            out.results[0].contains(&7)
+        };
+        assert!(found(&ci));
         assert_eq!(ci.delete_outcome(999_999).unwrap(), DeleteOutcome::Unknown);
-        assert_eq!(ci.delete_outcome(5).unwrap(), DeleteOutcome::Applied);
-        assert_eq!(ci.delete_outcome(5).unwrap(), DeleteOutcome::AlreadyDeleted);
+        assert_eq!(ci.delete_outcome(7).unwrap(), DeleteOutcome::Applied);
+        assert_eq!(ci.delete_outcome(7).unwrap(), DeleteOutcome::AlreadyDeleted);
+        assert!(!found(&ci), "a tombstoned id left the results");
+        assert_eq!(ci.pin().index().live_vectors(), w.base.len() - 1);
+        // An id compacted away by maintain is AlreadyDeleted, not Unknown:
+        // it was allocated once and its slot is gone.
+        for &g in &victims {
+            ci.delete_outcome(g).unwrap();
+        }
+        assert!(ci.maintain(0.3).unwrap() >= 1);
+        assert_eq!(ci.delete_outcome(victims[0]).unwrap(), DeleteOutcome::AlreadyDeleted);
+        // Fresh inserts stay deletable exactly once, and compaction never
+        // rewinds the id high-water mark.
+        let id = ci.insert(w.base.row(0)).unwrap();
+        assert_eq!(id as usize, w.base.len(), "id high-water mark must not rewind");
+        assert_eq!(ci.delete_outcome(id).unwrap(), DeleteOutcome::Applied);
+        assert_eq!(ci.delete_outcome(id).unwrap(), DeleteOutcome::AlreadyDeleted);
     }
 
     #[test]
@@ -624,5 +900,186 @@ mod tests {
         assert!(folded, "maintainer never rebuilt the heavily-deleted shard");
         let out = ci.pin().index().search_pipelined(&w.queries, &SearchParams::default());
         assert_eq!(out.results.len(), w.queries.len());
+    }
+
+    #[test]
+    fn inserted_vector_is_findable() {
+        let (w, idx) = built(13);
+        assert!(idx.shards.iter().all(|s| s.quantized.is_some()), "test_scale builds the tier");
+        let smallest = if idx.shards[1].len() < idx.shards[0].len() { 1 } else { 0 };
+        let ci = ConcurrentIndex::new(idx);
+        let novel: Vec<f32> = w.base.row(0).iter().map(|x| x + 0.01).collect();
+        let id = ci.insert(&novel).unwrap();
+        assert_eq!(id as usize, w.base.len());
+        let snap = ci.pin();
+        let target = &snap.index().shards[smallest];
+        assert_eq!(target.global_ids.last(), Some(&id), "inserts go to the smallest shard");
+        // Exact traversal, and the quantized tier the insert extended.
+        for quantized in [false, true] {
+            let params = SearchParams { quantized, ..Default::default() };
+            let out = ci.pin().index().search_pipelined(&single_query(&novel), &params);
+            assert!(out.results[0].contains(&id), "inserted id missing: {:?}", out.results[0]);
+        }
+    }
+
+    #[test]
+    fn maintain_rebuilds_heavily_deleted_shard() {
+        // Tombstone 40 % of shard 0. The reference applies the same
+        // tombstones, then rebuilds and installs the shard in place on a
+        // private copy, with no lock or epoch in the way.
+        let w = DatasetProfile::deep10m_like().workload(Scale::Test, 8, 5, 19);
+        let mut reference =
+            PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
+        let victims = every_other_of_shard0(&reference, reference.shards[0].len() * 2 / 5);
+        let len_before = reference.shards[0].len();
+        let ci = ConcurrentIndex::new(reference.clone());
+        // One tombstone in shard 1: lightly deleted, so never rebuilt.
+        let light = reference.shards[1].global_ids[0];
+        for &g in victims.iter().chain([&light]) {
+            assert_eq!(tombstone(&mut reference, g).0, DeleteOutcome::Applied);
+            assert_eq!(ci.delete_outcome(g).unwrap(), DeleteOutcome::Applied);
+        }
+        assert!(shard_needs_rebuild(&reference.shards[0], 0.3));
+        assert!(!shard_needs_rebuild(&reference.shards[1], 0.3));
+        let rebuilt = rebuild_shard(&reference.shards[0], &reference.config, 0);
+        install_rebuilt(&mut reference, 0, Arc::new(rebuilt));
+        assert_eq!(ci.maintain(0.3).unwrap(), 1);
+        let snap = ci.pin();
+        let idx = snap.index();
+        let out = idx.search_pipelined(&w.queries, &SearchParams::default());
+        let want = reference.search_pipelined(&w.queries, &SearchParams::default());
+        assert_eq!(out.results, want.results, "off-lock maintain diverged from the direct rebuild");
+        let shard = &idx.shards[0];
+        assert_eq!(shard.len(), len_before - victims.len());
+        assert_eq!(shard.deleted.count(), 0);
+        assert_eq!(shard.graph.num_nodes(), shard.len());
+        assert_eq!(shard.intershard.as_ref().unwrap().len(), shard.len());
+        // The predecessor's table into the rebuilt shard must be in range.
+        let prev = &idx.shards[1];
+        let prev_table = prev.intershard.as_ref().unwrap();
+        for u in 0..prev.len() as u32 {
+            assert!((prev_table.target(u) as usize) < shard.len());
+        }
+        // The quantized tier is rebuilt too: the fresh quantization of the
+        // survivors, not the old grid.
+        let q = shard.quantized.as_ref().expect("rebuild keeps the tier");
+        assert_eq!(q.len(), shard.vectors.len());
+        assert_eq!(q, &pathweaver_vector::QuantizedSet::quantize(&shard.vectors));
+        assert_eq!(idx.shards[1].deleted.count(), 1, "a lightly-deleted shard is left alone");
+        // Victims stay gone.
+        for hits in &out.results {
+            for id in hits {
+                assert!(!victims.contains(id), "tombstoned id {id} resurfaced");
+            }
+        }
+        // A second pass is a no-op.
+        assert_eq!(ci.maintain(0.3).unwrap(), 0);
+    }
+
+    #[test]
+    fn heavy_local_deletion_still_returns_k_live_results() {
+        // Tombstone a query's nearest neighbors: the over-fetch must surface
+        // the live nodes ranked just past them.
+        let w = DatasetProfile::deep10m_like().workload(Scale::Test, 1, 12, 31);
+        let idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(1)).unwrap();
+        let params = SearchParams::default();
+        let ci = ConcurrentIndex::new(idx);
+        let before = ci.pin().index().search_pipelined(&w.queries, &params);
+        for &g in &before.results[0][..6] {
+            assert_eq!(ci.delete_outcome(g).unwrap(), DeleteOutcome::Applied);
+        }
+        let after = ci.pin().index().search_pipelined(&w.queries, &params);
+        assert_eq!(after.results[0].len(), params.k, "k live results expected");
+        for id in &after.results[0] {
+            assert!(!before.results[0][..6].contains(id), "tombstoned id returned");
+        }
+    }
+
+    #[test]
+    fn maintain_folds_nearly_and_fully_emptied_shards() {
+        // Regression: maintenance used to `continue` once a shard's survivor
+        // count fell to degree + 1 or fewer, leaving a ~100 %-tombstoned
+        // graph serving bridges forever. The fold must compact the remnant,
+        // and a fully-emptied shard keeps one tombstoned bridge node so the
+        // ring stays searchable.
+        let w = DatasetProfile::deep10m_like().workload(Scale::Test, 6, 5, 37);
+        let idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
+        let ids: Vec<u32> = idx.shards[0].global_ids.clone();
+        let params = SearchParams::default();
+        for keep in [idx.config.graph.degree.min(ids.len() - 1), 0] {
+            let ci = ConcurrentIndex::new(idx.clone());
+            for &g in &ids[keep..] {
+                assert_eq!(ci.delete_outcome(g).unwrap(), DeleteOutcome::Applied);
+            }
+            assert_eq!(ci.maintain(0.3).unwrap(), 1, "remnant shard must be folded, not skipped");
+            let snap = ci.pin();
+            let idx = snap.index();
+            let shard = &idx.shards[0];
+            assert_eq!(shard.len(), keep.max(1), "survivors, or the one bridge node");
+            assert_eq!(shard.graph.num_nodes(), shard.len());
+            let bridge = usize::from(keep == 0);
+            assert_eq!(shard.deleted.count(), bridge, "only the bridge stays tombstoned");
+            // The ring tables on both sides of the folded shard stay in range.
+            let prev_table = idx.shards[1].intershard.as_ref().unwrap();
+            for u in 0..idx.shards[1].len() as u32 {
+                assert!((prev_table.target(u) as usize) < shard.len());
+            }
+            // Every survivor is still findable through the remnant graph.
+            for (local, &g) in shard.global_ids.iter().enumerate().take(keep) {
+                let out = idx.search_pipelined(&shard.vectors.gather(&[local]), &params);
+                assert!(out.results[0].contains(&g), "survivor {g} lost by the fold");
+            }
+            // Tombstoned ids (the bridge included) never surface.
+            let out = idx.search_pipelined(&w.queries, &params);
+            for id in out.results.iter().flatten() {
+                assert!(!ids[keep..].contains(id), "tombstoned id {id} resurfaced");
+            }
+            // A second pass is a no-op (no rebuild storm on the remnant).
+            assert_eq!(ci.maintain(0.3).unwrap(), 0);
+        }
+    }
+
+    #[test]
+    fn insert_into_tiny_shard_stays_in_range() {
+        // A shard smaller than the graph degree must not pad the new row
+        // with fabricated ids at or past the new node's own id (self-loop
+        // or out-of-range panic in `push_node`).
+        let dim = 4;
+        let n = 4usize;
+        let degree = 6usize;
+        let mut vectors = VectorSet::empty(dim);
+        for i in 0..n {
+            let row: Vec<f32> = (0..dim).map(|d| (i * dim + d) as f32).collect();
+            vectors.push(&row);
+        }
+        let lists: Vec<Vec<u32>> =
+            (0..n).map(|u| (0..degree).map(|j| ((u + j + 1) % n) as u32).collect()).collect();
+        let graph = pathweaver_graph::FixedDegreeGraph::from_lists(degree, &lists);
+        let shard = ShardIndex {
+            global_ids: (0..n as u32).collect(),
+            deleted: pathweaver_util::FixedBitSet::new(n),
+            vectors,
+            graph,
+            dir_table: None,
+            quantized: None,
+            ghost: None,
+            intershard: None,
+        };
+        let ci = ConcurrentIndex::new(PathWeaverIndex {
+            config: PathWeaverConfig::test_scale(1),
+            shards: vec![Arc::new(shard)],
+            build_report: pathweaver_graph::BuildReport::new(),
+            ledgers: Vec::new(),
+            num_vectors: n,
+        });
+        let id = ci.insert(&[0.5; 4]).unwrap();
+        assert_eq!(id, n as u32);
+        let snap = ci.pin();
+        let local = (snap.index().shards[0].len() - 1) as u32;
+        let row = snap.index().shards[0].graph.neighbors(local);
+        assert!(
+            row.iter().all(|&v| v < local),
+            "new node's row references itself or out-of-range ids: {row:?}"
+        );
     }
 }

@@ -269,7 +269,7 @@ mod tests {
     use super::testutil::TempDir;
     use super::*;
     use crate::config::PathWeaverConfig;
-    use crate::dynamic::DeleteOutcome;
+    use crate::snapshot::{ConcurrentIndex, DeleteOutcome};
     use pathweaver_datasets::{recall_batch, DatasetProfile, Scale};
     use pathweaver_search::SearchParams;
 
@@ -311,14 +311,19 @@ mod tests {
     #[test]
     fn tombstones_survive_roundtrip() {
         let w = DatasetProfile::deep10m_like().workload(Scale::Test, 4, 5, 72);
-        let mut idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
+        let idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
         let victim = idx.shards[0].global_ids[3];
-        assert_eq!(idx.delete_outcome(victim), DeleteOutcome::Applied);
         let dir = TempDir::new("tombstone");
-        save_index(&idx, dir.path()).unwrap();
-        let mut loaded = load_index(dir.path()).unwrap();
-        assert_eq!(loaded.live_vectors(), idx.live_vectors());
-        assert_eq!(loaded.delete_outcome(victim), DeleteOutcome::AlreadyDeleted);
+        let ci = ConcurrentIndex::durable(DurableIndex::create(idx, dir.path()).unwrap());
+        assert_eq!(ci.delete_outcome(victim).unwrap(), DeleteOutcome::Applied);
+        // Fold the tombstone into the segment, so the reload reads it from
+        // the segment's tombstone section rather than replaying the WAL.
+        ci.compact().unwrap();
+        assert_eq!(verify_store(dir.path()).unwrap().wal_records, 0);
+        let loaded = load_index(dir.path()).unwrap();
+        assert_eq!(loaded.live_vectors(), ci.pin().index().live_vectors());
+        let again = ConcurrentIndex::new(loaded).delete_outcome(victim).unwrap();
+        assert_eq!(again, DeleteOutcome::AlreadyDeleted);
     }
 
     #[test]

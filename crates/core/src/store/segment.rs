@@ -35,7 +35,6 @@
 use super::{corrupt, StoreError};
 use crate::config::PathWeaverConfig;
 use crate::index::{PathWeaverIndex, ShardIndex};
-use crate::shard::ShardAssignment;
 use pathweaver_gpusim::MemoryLedger;
 use pathweaver_graph::{
     BuildReport, DirectionTable, FixedDegreeGraph, GhostShard, InterShardTable,
@@ -539,7 +538,6 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<PathWeaverIndex, StoreErro
 
     let config = meta.to_config();
     let mut shards = Vec::with_capacity(meta.num_devices);
-    let mut members = Vec::with_capacity(meta.num_devices);
     for (s, slots) in per_shard.iter().enumerate() {
         let missing = |what: &str| corrupt(0, format!("shard {s} has no {what} section"));
         let vec_sec = slots.vectors.ok_or_else(|| missing("vectors"))?;
@@ -629,7 +627,6 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<PathWeaverIndex, StoreErro
             (None, None, None) => None,
             _ => return Err(corrupt(0, format!("shard {s} has a partial ghost shard"))),
         };
-        members.push(global_ids.clone());
         shards.push(ShardIndex {
             global_ids,
             vectors,
@@ -642,7 +639,7 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<PathWeaverIndex, StoreErro
         });
     }
 
-    let index = finish_load(&meta, config, shards, members)?;
+    let index = finish_load(&meta, config, shards)?;
     if pathweaver_obs::enabled() {
         pathweaver_obs::registry()
             .histogram("store.segment_open_wall_ns")
@@ -651,15 +648,13 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<PathWeaverIndex, StoreErro
     Ok(index)
 }
 
-/// Ring-target validation, shard assignment and memory-ledger
-/// reconstruction for the shards [`read_segment`] materialized. Every
+/// Ring-target validation and memory-ledger reconstruction for the shards [`read_segment`] materialized. Every
 /// failure here passed the checksums, so it is a structural lie in the
 /// segment: [`StoreError::Corrupt`].
 fn finish_load(
     meta: &Meta,
     config: PathWeaverConfig,
     shards: Vec<ShardIndex>,
-    members: Vec<Vec<u32>>,
 ) -> Result<PathWeaverIndex, StoreError> {
     // Targets must land inside the ring successor's shard.
     for s in 0..shards.len() {
@@ -679,11 +674,6 @@ fn finish_load(
         }
     }
 
-    let mut assignment =
-        ShardAssignment::random(meta.num_vectors.max(meta.num_devices), meta.num_devices, 0);
-    for (s, m) in members.into_iter().enumerate() {
-        assignment.set_members(s, m);
-    }
     let mut ledgers = Vec::with_capacity(meta.num_devices);
     for shard in &shards {
         let mut ledger = MemoryLedger::new(config.device.mem_capacity);
@@ -695,7 +685,6 @@ fn finish_load(
     Ok(PathWeaverIndex {
         config,
         shards: shards.into_iter().map(std::sync::Arc::new).collect(),
-        assignment,
         build_report: BuildReport::new(),
         ledgers,
         num_vectors: meta.num_vectors,

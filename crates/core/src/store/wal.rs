@@ -290,7 +290,7 @@ pub fn apply_records(index: &mut PathWeaverIndex, records: &[WalRecord]) -> Resu
                 if (*expected_id as usize) < index.num_vectors {
                     continue; // Already folded into the segment by a compact.
                 }
-                let got = index.insert(vector);
+                let (got, _) = crate::snapshot::insert_into_smallest(index, vector);
                 if got != *expected_id {
                     return Err(corrupt(
                         rec.offset,
@@ -301,7 +301,7 @@ pub fn apply_records(index: &mut PathWeaverIndex, records: &[WalRecord]) -> Resu
             // Deletes are idempotent; a tombstone already present in the
             // segment (logged before a compact) is not an error.
             WalOp::Delete { global_id } => {
-                let _ = index.delete_outcome(*global_id);
+                let _ = crate::snapshot::tombstone(index, *global_id);
             }
         }
     }

@@ -98,17 +98,18 @@ proptest! {
     ) {
         let base = world(350, 8, 4, seed);
         let queries = world(4, 8, 4, seed + 3);
-        let mut idx = PathWeaverIndex::build(&base, &PathWeaverConfig::test_scale(2)).unwrap();
+        let idx = PathWeaverIndex::build(&base, &PathWeaverConfig::test_scale(2)).unwrap();
         let params = SearchParams::default();
-        let before = idx.search_pipelined(&queries, &params);
+        let ci = ConcurrentIndex::new(idx);
+        let before = ci.pin().index().search_pipelined(&queries, &params);
         // Insert a decoy exactly on top of query 0, then tombstone it: the
         // final results must match the original ones.
         let decoy: Vec<f32> = queries.row(0).to_vec();
-        let id = idx.insert(&decoy);
-        let with_decoy = idx.search_pipelined(&queries, &params);
+        let id = ci.insert(&decoy).unwrap();
+        let with_decoy = ci.pin().index().search_pipelined(&queries, &params);
         prop_assert!(with_decoy.results[0].contains(&id), "decoy not found after insert");
-        prop_assert_eq!(idx.delete_outcome(id), DeleteOutcome::Applied);
-        let after = idx.search_pipelined(&queries, &params);
+        prop_assert_eq!(ci.delete_outcome(id).unwrap(), DeleteOutcome::Applied);
+        let after = ci.pin().index().search_pipelined(&queries, &params);
         prop_assert!(!after.results[0].contains(&id), "tombstoned decoy returned");
         // Insertion permanently rewires a few reverse edges, so the graph is
         // not byte-identical afterwards; results must still agree closely.

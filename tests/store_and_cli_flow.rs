@@ -11,21 +11,22 @@ use pathweaver::prelude::*;
 #[test]
 fn save_update_save_load_keeps_working() {
     let w = DatasetProfile::deep10m_like().workload(Scale::Test, 8, 10, 91);
-    let mut idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
+    let idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
     let dir = TempStore::new("lifecycle");
 
-    // Save the fresh index, reload, mutate the reloaded copy.
+    // Save the fresh index, reopen it for writing, mutate the reopened copy.
     save_index(&idx, dir.path()).unwrap();
-    let mut reloaded = load_index(dir.path()).unwrap();
+    let reloaded = ConcurrentIndex::durable(DurableIndex::open(dir.path()).unwrap());
     let novel: Vec<f32> = w.base.row(3).iter().map(|x| x + 0.005).collect();
-    let new_id = reloaded.insert(&novel);
-    assert_eq!(reloaded.delete_outcome(w.base.len() as u32 / 2), DeleteOutcome::Applied);
+    let new_id = reloaded.insert(&novel).unwrap();
+    assert_eq!(reloaded.delete_outcome(w.base.len() as u32 / 2).unwrap(), DeleteOutcome::Applied);
 
-    // Save the mutated index over the first snapshot and reload again.
-    save_index(&reloaded, dir.path()).unwrap();
+    // Fold the mutations over the first segment and reload again.
+    reloaded.compact().unwrap();
+    let mutated = reloaded.pin();
     let third = load_index(dir.path()).unwrap();
-    assert_eq!(third.num_vectors, reloaded.num_vectors);
-    assert_eq!(third.live_vectors(), reloaded.live_vectors());
+    assert_eq!(third.num_vectors, mutated.index().num_vectors);
+    assert_eq!(third.live_vectors(), mutated.index().live_vectors());
 
     let mut queries = pathweaver::vector::VectorSet::empty(third.dim());
     queries.push(&novel);
@@ -35,24 +36,25 @@ fn save_update_save_load_keeps_working() {
     // The original in-memory index is untouched by all of this.
     let out0 = idx.search_pipelined(&w.queries, &SearchParams::default());
     assert_eq!(out0.results.len(), w.queries.len());
-    idx.insert(&novel); // Still mutable and consistent.
+    ConcurrentIndex::new(idx).insert(&novel).unwrap(); // Still mutable and consistent.
 }
 
 #[test]
 fn maintain_then_save_load_searches_identically() {
     let w = DatasetProfile::deep10m_like().workload(Scale::Test, 8, 10, 92);
-    let mut idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
+    let idx = PathWeaverIndex::build(&w.base, &PathWeaverConfig::test_scale(2)).unwrap();
     let victims: Vec<u32> =
         idx.shards[0].global_ids.iter().copied().step_by(2).take(idx.shards[0].len() / 2).collect();
-    for &g in &victims {
-        idx.delete_outcome(g);
-    }
-    assert_eq!(idx.maintain(0.3).unwrap(), 1);
     let dir = TempStore::new("maintain");
-    save_index(&idx, dir.path()).unwrap();
+    let ci = ConcurrentIndex::durable(DurableIndex::create(idx, dir.path()).unwrap());
+    for &g in &victims {
+        ci.delete_outcome(g).unwrap();
+    }
+    // A durable maintenance pass folds the rebuilt shard into the segment.
+    assert_eq!(ci.maintain(0.3).unwrap(), 1);
     let loaded = load_index(dir.path()).unwrap();
     let params = SearchParams::default();
-    let a = idx.search_pipelined(&w.queries, &params);
+    let a = ci.pin().index().search_pipelined(&w.queries, &params);
     let b = loaded.search_pipelined(&w.queries, &params);
     assert_eq!(a.results, b.results);
     for hits in &b.results {
