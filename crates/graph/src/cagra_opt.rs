@@ -61,7 +61,8 @@ pub fn cagra_build(vectors: &VectorSet, params: &CagraBuildParams) -> FixedDegre
     optimize(&knn, params.degree, params.nn_descent.seed)
 }
 
-/// Optimizes sorted k-NN lists into a fixed-degree search graph.
+/// Optimizes sorted k-NN lists into a fixed-degree search graph. Each list
+/// holds distinct ids, as [`nn_descent`] and the exact lists produce.
 ///
 /// Exposed separately so callers that already hold a k-NN graph (e.g. the
 /// GGNN builder or tests using exact lists) can reuse the pruning/merging
@@ -70,29 +71,28 @@ pub fn optimize(knn: &[Vec<(f32, u32)>], degree: usize, seed: u64) -> FixedDegre
     let n = knn.len();
     assert!(n > 0, "empty knn graph");
 
-    // Forward-edge selection by detour count.
+    // Forward-edge selection by detour count. Each task owns a dense
+    // id → slot map over all nodes for its run of `u`s.
+    const NODES_PER_TASK: usize = 256;
     let keep_fwd = degree - degree / 2;
-    let strong: Vec<Vec<(f32, u32)>> = parallel_map(n, |u| {
-        let neigh = &knn[u];
-        // Sorted id view for O(log k) membership tests.
-        let mut counts = vec![0u32; neigh.len()];
-        for (i, &(_, w)) in neigh.iter().enumerate() {
-            let wn = &knn[w as usize];
-            for (j, &(duv, v)) in neigh.iter().enumerate().skip(i + 1) {
-                // Does the closer neighbor w link to v with a shorter hop?
-                if let Some(&(dwv, _)) = wn.iter().find(|&&(_, x)| x == v) {
-                    if dwv < duv {
-                        counts[j] += 1;
-                    }
-                }
-            }
-        }
-        let mut order: Vec<usize> = (0..neigh.len()).collect();
-        order.sort_by(|&a, &b| counts[a].cmp(&counts[b]).then(a.cmp(&b)));
-        order.truncate(keep_fwd);
-        order.sort_unstable(); // Restore distance rank among the kept edges.
-        order.iter().map(|&i| neigh[i]).collect()
-    });
+    let strong: Vec<Vec<(f32, u32)>> = parallel_map(n.div_ceil(NODES_PER_TASK), |t| {
+        let mut slot = vec![u32::MAX; n];
+        let nodes = t * NODES_PER_TASK..((t + 1) * NODES_PER_TASK).min(n);
+        nodes
+            .map(|u| {
+                let neigh = &knn[u];
+                let counts = detour_counts(knn, u, &mut slot);
+                let mut order: Vec<usize> = (0..neigh.len()).collect();
+                order.sort_by(|&a, &b| counts[a].cmp(&counts[b]).then(a.cmp(&b)));
+                order.truncate(keep_fwd);
+                order.sort_unstable(); // Restore distance rank among the kept edges.
+                order.iter().map(|&i| neigh[i]).collect()
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
 
     // Reverse edges of the kept forward edges, ascending by distance.
     let mut reverse: Vec<Vec<(f32, u32)>> = vec![Vec::new(); n];
@@ -158,6 +158,37 @@ pub fn optimize(knn: &[Vec<(f32, u32)>], degree: usize, seed: u64) -> FixedDegre
         lists.push(out);
     }
     FixedDegreeGraph::from_lists(degree, &lists)
+}
+
+/// Detour count of each of `u`'s k-NN edges: for the edge to `v` at slot
+/// `j`, the number of closer neighbors `w` (slots before `j`) whose own list
+/// holds `v` at a distance below `d(u, v)`.
+///
+/// One pass over each `w`'s list, looking its ids up in `slot` — an id →
+/// slot map of all nodes, `u32::MAX` where unset, which is left unset on
+/// return. Lists hold distinct ids.
+fn detour_counts(knn: &[Vec<(f32, u32)>], u: usize, slot: &mut [u32]) -> Vec<u32> {
+    let neigh = &knn[u];
+    for (j, &(_, v)) in neigh.iter().enumerate() {
+        slot[v as usize] = j as u32;
+    }
+    let mut counts = vec![0u32; neigh.len()];
+    for (i, &(_, w)) in neigh.iter().enumerate() {
+        for &(dwv, x) in &knn[w as usize] {
+            let j = slot[x as usize] as usize;
+            if j > i {
+                if let Some(&(duv, _)) = neigh.get(j) {
+                    if dwv < duv {
+                        counts[j] += 1;
+                    }
+                }
+            }
+        }
+    }
+    for &(_, v) in neigh {
+        slot[v as usize] = u32::MAX;
+    }
+    counts
 }
 
 /// Average distance of kept edges — a compactness diagnostic used by build
@@ -236,6 +267,30 @@ mod tests {
         }
         let rand_mean = rand_sum / 1000.0;
         assert!(mean < rand_mean * 0.6, "edges not short: {mean} vs random {rand_mean}");
+    }
+
+    #[test]
+    fn detour_counts_match_the_pairwise_definition() {
+        // Against the definition: for each pair of slots i < j, does
+        // neighbor i's list hold neighbor j closer than u does?
+        let set = grid_set(300, 5);
+        let knn = crate::knn_build::nn_descent(
+            &set,
+            &crate::NnDescentParams { k: 14, ..Default::default() },
+        );
+        let mut slot = vec![u32::MAX; knn.len()];
+        for (u, neigh) in knn.iter().enumerate() {
+            let mut want = vec![0u32; neigh.len()];
+            for (i, &(_, w)) in neigh.iter().enumerate() {
+                for (j, &(duv, v)) in neigh.iter().enumerate().skip(i + 1) {
+                    if knn[w as usize].iter().any(|&(dwv, x)| x == v && dwv < duv) {
+                        want[j] += 1;
+                    }
+                }
+            }
+            assert_eq!(detour_counts(&knn, u, &mut slot), want, "node {u}");
+        }
+        assert!(slot.iter().all(|&s| s == u32::MAX));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::csr::FixedDegreeGraph;
 use pathweaver_util::FixedBitSet;
-use pathweaver_vector::{l2_squared, VectorSet};
+use pathweaver_vector::{batch_l2_squared, l2_squared, VectorSet};
 
 /// One search result: squared distance and node id.
 pub type Hit = (f32, u32);
@@ -57,13 +57,19 @@ pub fn greedy_search(
     }
 
     // Expand the best unexpanded node within the beam until none remain.
+    // Each expansion's unvisited neighbors are measured in one batch, then
+    // pushed in adjacency order.
+    let mut fresh: Vec<u32> = Vec::with_capacity(graph.degree());
+    let mut dists = vec![0.0f32; graph.degree()];
     while let Some(idx) = heap.iter().position(|e| !e.2) {
         heap[idx].2 = true;
         let u = heap[idx].1;
-        for &v in graph.neighbors(u) {
-            if visited.insert(v as usize) {
-                push(&mut heap, l2_squared(vectors.row(v as usize), query), v);
-            }
+        fresh.clear();
+        fresh.extend(graph.neighbors(u).iter().copied().filter(|&v| visited.insert(v as usize)));
+        let dists = &mut dists[..fresh.len()];
+        batch_l2_squared(vectors, &fresh, query, dists);
+        for (&v, &d) in fresh.iter().zip(dists.iter()) {
+            push(&mut heap, d, v);
         }
     }
 
