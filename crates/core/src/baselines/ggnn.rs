@@ -8,12 +8,11 @@
 //! how GGNN natively supports multiple GPUs.
 
 use crate::config::PathWeaverConfig;
-use crate::index::{BuildError, PathWeaverIndex, SearchOutput, ShardIndex};
+use crate::index::{BuildError, PathWeaverIndex, SearchOutput, ShardData, ShardIndex};
 use crate::shard::ShardAssignment;
 use pathweaver_gpusim::MemoryLedger;
 use pathweaver_graph::ggnn::{GgnnIndex, GgnnParams};
 use pathweaver_search::SearchParams;
-use pathweaver_util::FixedBitSet;
 use pathweaver_vector::VectorSet;
 
 /// The GGNN-style baseline.
@@ -53,17 +52,14 @@ impl GgnnBaseline {
             let built = report.time(pathweaver_graph::build_report::BuildPhase::GraphBuild, || {
                 GgnnIndex::build(&vectors, params)
             });
-            let deleted = FixedBitSet::new(vectors.len());
-            shards.push(std::sync::Arc::new(ShardIndex {
+            shards.push(std::sync::Arc::new(ShardIndex::new(ShardData {
                 global_ids: assignment.members(s).to_vec(),
                 vectors,
                 graph: built.base,
                 dir_table: None,
                 quantized: None,
                 ghost: Some(built.selection),
-                intershard: None,
-                deleted,
-            }));
+            })));
         }
         let mut ledgers = Vec::with_capacity(num_devices);
         for shard in &shards {

@@ -2,10 +2,9 @@
 //! of the ghost-staging comparison (§6.1, Fig 18).
 
 use crate::config::PathWeaverConfig;
-use crate::index::{PathWeaverIndex, ShardIndex};
+use crate::index::{PathWeaverIndex, ShardData, ShardIndex};
 use pathweaver_gpusim::MemoryLedger;
 use pathweaver_graph::{Hnsw, HnswParams};
-use pathweaver_util::FixedBitSet;
 use pathweaver_vector::VectorSet;
 
 /// The HNSW baseline: one CPU index over the full dataset.
@@ -66,16 +65,14 @@ impl HnswBaseline {
         config.ghost = None;
         config.build_dir_table = false;
         config.build_quantized = false;
-        let shard = ShardIndex {
+        let shard = ShardIndex::new(ShardData {
             global_ids: (0..n as u32).collect(),
             vectors: self.vectors.clone(),
             graph,
             dir_table: None,
             quantized: None,
             ghost: None,
-            intershard: None,
-            deleted: FixedBitSet::new(n),
-        };
+        });
         let mut ledger = MemoryLedger::new(config.device.mem_capacity);
         for (label, bytes) in shard.resident_bytes() {
             ledger.allocate(label, bytes).expect("HNSW graph fits a 48 GiB device at test scale");

@@ -40,9 +40,13 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Everything resident on one simulated device.
+/// The payload of one shard: everything only inserts and rebuilds change.
+///
+/// It is the bulk of a shard's bytes (vectors, graph, direction codes, int8
+/// codes, ghost), so a [`ShardIndex`] holds it behind one [`Arc`] that every
+/// version of the shard shares until an insert copies it.
 #[derive(Debug, Clone)]
-pub struct ShardIndex {
+pub struct ShardData {
     /// Local→global id mapping (ascending).
     pub global_ids: Vec<u32>,
     /// Shard vectors (row = local id).
@@ -57,11 +61,67 @@ pub struct ShardIndex {
     pub quantized: Option<QuantizedSet>,
     /// Ghost shard (§3.2).
     pub ghost: Option<GhostShard>,
+}
+
+impl ShardData {
+    /// Bytes of every payload structure (the shard's resident bytes minus
+    /// its `I(u)` table).
+    pub fn resident_bytes(&self) -> Vec<(&'static str, u64)> {
+        let mut out = vec![
+            ("vectors", self.vectors.nbytes() as u64),
+            ("graph", self.graph.nbytes() as u64),
+            ("id-map", (self.global_ids.len() * 4) as u64),
+        ];
+        if let Some(t) = &self.dir_table {
+            out.push(("dir-table", t.nbytes() as u64));
+        }
+        if let Some(q) = &self.quantized {
+            out.push(("quantized", q.nbytes() as u64));
+        }
+        if let Some(g) = &self.ghost {
+            out.push(("ghost", g.nbytes() as u64));
+        }
+        out
+    }
+
+    /// Copies the payload once, with room in every growing buffer for
+    /// `extra` more nodes (the ghost, a fixed sample, is copied as is).
+    fn clone_with_room(&self, extra: usize) -> Self {
+        Self {
+            global_ids: pathweaver_util::vec_with_room(&self.global_ids, extra),
+            vectors: self.vectors.clone_with_room(extra),
+            graph: self.graph.clone_with_room(extra),
+            dir_table: self.dir_table.as_ref().map(|t| t.clone_with_room(extra)),
+            quantized: self.quantized.as_ref().map(|q| q.clone_with_room(extra)),
+            ghost: self.ghost.clone(),
+        }
+    }
+}
+
+/// Everything resident on one simulated device: the shared [`ShardData`]
+/// payload plus the small state every version owns (tombstones and the
+/// outgoing `I(u)` table).
+///
+/// Cloning a shard costs a refcount and those two small buffers, so a
+/// delete or an `I(u)` swap never copies vectors or graphs. Field reads of
+/// the payload go through [`Deref`](std::ops::Deref) (`shard.vectors`,
+/// `shard.graph`, ...).
+#[derive(Debug, Clone)]
+pub struct ShardIndex {
+    payload: Arc<ShardData>,
     /// `I(u)` table into the next shard of the ring (§3.1); `None` on
     /// single-device indices.
     pub intershard: Option<InterShardTable>,
     /// Logical deletion flags (local ids; §6.2).
     pub deleted: FixedBitSet,
+}
+
+impl std::ops::Deref for ShardIndex {
+    type Target = ShardData;
+
+    fn deref(&self) -> &ShardData {
+        &self.payload
+    }
 }
 
 /// Output of one shard-local batch search (ids are local).
@@ -76,6 +136,35 @@ pub struct ShardBatchOutput {
 }
 
 impl ShardIndex {
+    /// Wraps a payload as a shard with no tombstones and no `I(u)` table.
+    pub fn new(payload: ShardData) -> Self {
+        let deleted = FixedBitSet::new(payload.vectors.len());
+        Self { payload: Arc::new(payload), intershard: None, deleted }
+    }
+
+    /// The shared payload; two versions of a shard hold the same one
+    /// ([`Arc::ptr_eq`]) until an insert copies it.
+    pub fn payload(&self) -> &Arc<ShardData> {
+        &self.payload
+    }
+
+    /// The payload, writable for appending one node. A payload shared with
+    /// another version (a pinned snapshot, the published index) is copied
+    /// once, with room for the new row, and the copy's bytes are counted in
+    /// `dyn.cow_bytes`; an unshared one (WAL replay, an unpublished master)
+    /// is returned in place.
+    pub(crate) fn payload_for_insert(&mut self) -> &mut ShardData {
+        if Arc::get_mut(&mut self.payload).is_none() {
+            if pathweaver_obs::enabled() {
+                let bytes = self.payload.resident_bytes().iter().map(|&(_, b)| b).sum();
+                pathweaver_obs::registry().counter("dyn.cow_bytes").add(bytes);
+            }
+            self.payload = Arc::new(self.payload.clone_with_room(1));
+        }
+        // Unique by now, so this never clones.
+        Arc::make_mut(&mut self.payload)
+    }
+
     /// Number of resident vectors.
     pub fn len(&self) -> usize {
         self.vectors.len()
@@ -205,22 +294,10 @@ impl ShardIndex {
         ShardBatchOutput { hits, stats, counters }
     }
 
-    /// Bytes of every structure resident on the device.
+    /// Bytes of every structure resident on the device: the payload plus
+    /// the `I(u)` table.
     pub fn resident_bytes(&self) -> Vec<(&'static str, u64)> {
-        let mut out = vec![
-            ("vectors", self.vectors.nbytes() as u64),
-            ("graph", self.graph.nbytes() as u64),
-            ("id-map", (self.global_ids.len() * 4) as u64),
-        ];
-        if let Some(t) = &self.dir_table {
-            out.push(("dir-table", t.nbytes() as u64));
-        }
-        if let Some(q) = &self.quantized {
-            out.push(("quantized", q.nbytes() as u64));
-        }
-        if let Some(g) = &self.ghost {
-            out.push(("ghost", g.nbytes() as u64));
-        }
+        let mut out = self.payload.resident_bytes();
         if let Some(t) = &self.intershard {
             out.push(("intershard", t.nbytes() as u64));
         }
@@ -236,8 +313,9 @@ pub struct PathWeaverIndex {
     /// Per-device shard indices. Each shard is behind an [`Arc`] so a
     /// snapshot publish ([`crate::snapshot::ConcurrentIndex`]) clones only
     /// the spine: untouched shards are shared between the writer master and
-    /// every pinned snapshot, and the first mutation after a publish
-    /// copies just the shard it lands on (`Arc::make_mut`).
+    /// every pinned snapshot. The first mutation after a publish copies the
+    /// shard it lands on (`Arc::make_mut`), and that copy is shallow: the
+    /// [`ShardData`] payload stays shared, and only an insert copies it.
     pub shards: Vec<Arc<ShardIndex>>,
     /// Build-phase timing (Fig 17).
     pub build_report: BuildReport,
@@ -294,17 +372,14 @@ impl PathWeaverIndex {
             let quantized = config
                 .build_quantized
                 .then(|| report.time(BuildPhase::Quantize, || QuantizedSet::quantize(&vectors)));
-            let deleted = FixedBitSet::new(vectors.len());
-            shards.push(Arc::new(ShardIndex {
+            shards.push(Arc::new(ShardIndex::new(ShardData {
                 global_ids: assignment.members(s).to_vec(),
                 vectors,
                 graph,
                 dir_table,
                 quantized,
                 ghost,
-                intershard: None,
-                deleted,
-            }));
+            })));
         }
 
         // Phase 2: inter-shard tables (ring), only meaningful multi-device.

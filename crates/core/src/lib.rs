@@ -75,7 +75,7 @@ pub mod store;
 
 pub use cluster::{ClusterError, ClusterOutput, LocalCluster, Router};
 pub use config::{ClusterConfig, PathWeaverConfig};
-pub use index::{PathWeaverIndex, SearchOutput, ShardIndex};
+pub use index::{PathWeaverIndex, SearchOutput, ShardData, ShardIndex};
 pub use serve::{QueryResult, QueryTicket, ServeConfig, ServeError, Server, SubmitError};
 pub use snapshot::{
     ConcurrentError, ConcurrentIndex, DeleteOutcome, IndexSnapshot, MaintainerHandle,
@@ -88,7 +88,7 @@ pub mod prelude {
     pub use crate::cluster::{ClusterError, ClusterOutput, LocalCluster, Router, TransportKind};
     pub use crate::config::{ClusterConfig, PathWeaverConfig};
     pub use crate::eval::{qps_at_recall, sweep_beam, sweep_iterations, SweepPoint};
-    pub use crate::index::{PathWeaverIndex, SearchOutput, ShardIndex};
+    pub use crate::index::{PathWeaverIndex, SearchOutput, ShardData, ShardIndex};
     pub use crate::serve::{
         QueryResult, QueryTicket, ServeConfig, ServeError, Server, SubmitError,
     };

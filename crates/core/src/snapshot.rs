@@ -7,7 +7,10 @@
 //! only public door (WAL replay is the one other caller), so
 //! [`PathWeaverIndex`] itself is read-only. The writer never blocks a
 //! search: it runs a multi-version scheme built on the index's
-//! shard-granular copy-on-write spine (`Vec<Arc<ShardIndex>>`):
+//! copy-on-write spine (`Vec<Arc<ShardIndex>>`), where each shard is a
+//! shared payload ([`ShardData`] behind one `Arc`: vectors, graph,
+//! direction and int8 codes, ghost) plus the small state every version
+//! owns (tombstones and the outgoing `I(u)` table):
 //!
 //! - **Readers pin, never lock.** [`ConcurrentIndex::pin`] hands out the
 //!   current [`IndexSnapshot`] — an immutable point-in-time view (shards
@@ -15,10 +18,14 @@
 //!   once and reads the same snapshot for its whole lifetime; no torn
 //!   tombstone words, no half-published delta, ever. A static index is the
 //!   degenerate case: version 0, never republished.
-//! - **Writers serialize and publish atomically.** Mutations run against a
-//!   private writer master under a mutex. The first write after a publish
-//!   copies only the shard it lands on (`Arc::make_mut`); untouched shards
-//!   stay shared with every pinned snapshot. Publication swaps one Arc.
+//! - **Writers serialize, copy what they change, and publish atomically.**
+//!   Mutations run against a private writer master under a mutex. The
+//!   first write after a publish copies only the shard it lands on
+//!   (`Arc::make_mut`), and that copy is shallow: a refcount, the
+//!   tombstones and `I(u)`. A delete or a rebuild's `I(u)` swap stops
+//!   there; an insert also copies the one payload it grows, once, with
+//!   room for the new row. Untouched shards and payloads stay shared with
+//!   every pinned snapshot. Publication swaps one Arc.
 //! - **WAL-before-publish.** A durable index ([`ConcurrentIndex::durable`])
 //!   carries the store's WAL as a sink: the append (fsynced) strictly
 //!   precedes both the master mutation and the publish, so no reader can
@@ -37,10 +44,11 @@
 //!   thread.
 
 use crate::config::PathWeaverConfig;
-use crate::index::{PathWeaverIndex, ShardIndex};
+use crate::index::{PathWeaverIndex, ShardData, ShardIndex};
 use crate::store::{self, wal, DurableIndex, StoreError};
 use parking_lot::{Condvar, Mutex, RwLock};
 use pathweaver_graph::greedy_search;
+use pathweaver_obs::SpanTimer;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -207,7 +215,7 @@ impl ConcurrentIndex {
 
     /// Publishes `index` itself as version 0 — a static index is this
     /// handle with no writes — and seeds the writer master from it. The
-    /// master clone copies the shard spine, never vector or graph payloads.
+    /// master clone copies the shard spine, never a shard.
     pub(crate) fn from_arc(
         index: Arc<PathWeaverIndex>,
         wal: Option<wal::WalWriter>,
@@ -255,6 +263,7 @@ impl ConcurrentIndex {
     /// Panics if `vector.len()` differs from the index dimensionality.
     pub fn insert(&self, vector: &[f32]) -> Result<u32, ConcurrentError> {
         let mut st = self.writer.lock();
+        let span = SpanTimer::start();
         let expected = st.master.num_vectors as u32;
         if let Some(w) = st.wal.as_mut() {
             // WAL-before-publish: the record is durable before any reader
@@ -272,6 +281,7 @@ impl ConcurrentIndex {
             let r = pathweaver_obs::registry();
             r.counter("dyn.delta_inserts").inc();
             r.gauge("serve.merge_backlog").set(self.merge_backlog() as f64);
+            r.histogram("dyn.insert_ns").record(span.elapsed_ns());
         }
         Ok(id)
     }
@@ -286,6 +296,7 @@ impl ConcurrentIndex {
     /// [`ConcurrentError::Store`] when the WAL append fails.
     pub fn delete_outcome(&self, global_id: u32) -> Result<DeleteOutcome, ConcurrentError> {
         let mut st = self.writer.lock();
+        let span = SpanTimer::start();
         if let Some(w) = st.wal.as_mut() {
             w.append_delete(global_id).map_err(ConcurrentError::Store)?;
         }
@@ -301,6 +312,9 @@ impl ConcurrentIndex {
                 r.counter("dyn.delta_deletes").inc();
                 r.gauge("serve.merge_backlog").set(self.merge_backlog() as f64);
             }
+        }
+        if pathweaver_obs::enabled() {
+            pathweaver_obs::registry().histogram("dyn.delete_ns").record(span.elapsed_ns());
         }
         Ok(outcome)
     }
@@ -422,7 +436,7 @@ impl ConcurrentIndex {
 
     fn publish(&self, st: &WriterState) {
         // The master's shards are Arcs, so this clone copies the spine,
-        // never vector/graph payloads.
+        // never a shard.
         let index = Arc::new(st.master.clone());
         let mut slot = self.published.write();
         *slot = Arc::new(IndexSnapshot { index, version: slot.version + 1 });
@@ -507,7 +521,10 @@ impl Drop for MaintainerHandle {
 /// The new node's adjacency row is found by a build-quality graph search,
 /// the direction table and the shard's outgoing `I(u)` entry are extended
 /// incrementally, and the ghost shard is left untouched (it is a random
-/// sample; one more point does not move it).
+/// sample; one more point does not move it). A payload shared with a
+/// published snapshot is copied once, with room for the row
+/// ([`ShardIndex::payload_for_insert`]); an unshared one (WAL replay, an
+/// unpublished master) grows in place.
 ///
 /// # Panics
 ///
@@ -575,23 +592,24 @@ pub(crate) fn insert_into_smallest(index: &mut PathWeaverIndex, vector: &[f32]) 
     }
 
     // Extend every affected structure in dependency order. The first
-    // mutation after a snapshot publish copies the shard (`make_mut`);
-    // pinned snapshots keep reading the old Arc untouched.
+    // insert after a snapshot publish copies the shard's shell (`make_mut`:
+    // tombstones and `I(u)`) and then its payload, once, with room for the
+    // new row; pinned snapshots keep reading the old payload untouched.
     let shard = Arc::make_mut(&mut index.shards[s]);
-    shard.vectors.push(vector);
+    let data = shard.payload_for_insert();
+    data.vectors.push(vector);
     // The quantized tier encodes with the shard's frozen scales/offsets
     // (re-deriving them would re-code every row); out-of-range values clamp
     // to ±127 and are repaired by the exact re-rank at query time.
-    if let Some(q) = shard.quantized.as_mut() {
+    if let Some(q) = data.quantized.as_mut() {
         q.push(vector);
     }
-    let local = shard.graph.push_node(&row);
-    shard.global_ids.push(global_id);
-    shard.deleted.grow(shard.vectors.len());
-    if let Some(table) = shard.dir_table.as_mut() {
-        table.push_node(&shard.vectors, &shard.graph);
+    let local = data.graph.push_node(&row);
+    data.global_ids.push(global_id);
+    if let Some(table) = data.dir_table.as_mut() {
+        table.push_node(&data.vectors, &data.graph);
     }
-    debug_assert_eq!(local as usize, shard.vectors.len() - 1);
+    debug_assert_eq!(local as usize, data.vectors.len() - 1);
 
     // Reverse edges: searches reach the new node only through in-edges, so
     // each forward neighbor replaces its farthest out-edge with the
@@ -601,10 +619,10 @@ pub(crate) fn insert_into_smallest(index: &mut PathWeaverIndex, vector: &[f32]) 
     for (rank, &v) in row.iter().enumerate() {
         let force = rank == 0;
         let d_new = pathweaver_vector::l2_squared(
-            shard.vectors.row(v as usize),
-            shard.vectors.row(local as usize),
+            data.vectors.row(v as usize),
+            data.vectors.row(local as usize),
         );
-        let mut vrow: Vec<u32> = shard.graph.neighbors(v).to_vec();
+        let mut vrow: Vec<u32> = data.graph.neighbors(v).to_vec();
         let (worst_j, worst_d) = vrow
             .iter()
             .enumerate()
@@ -612,8 +630,8 @@ pub(crate) fn insert_into_smallest(index: &mut PathWeaverIndex, vector: &[f32]) 
                 (
                     j,
                     pathweaver_vector::l2_squared(
-                        shard.vectors.row(v as usize),
-                        shard.vectors.row(w as usize),
+                        data.vectors.row(v as usize),
+                        data.vectors.row(w as usize),
                     ),
                 )
             })
@@ -623,12 +641,13 @@ pub(crate) fn insert_into_smallest(index: &mut PathWeaverIndex, vector: &[f32]) 
             .expect("positive degree");
         if (force || d_new < worst_d) && !vrow.contains(&local) {
             vrow[worst_j] = local;
-            shard.graph.set_neighbors(v, &vrow);
-            if let Some(table) = shard.dir_table.as_mut() {
-                table.rebuild_node(&shard.vectors, &shard.graph, v);
+            data.graph.set_neighbors(v, &vrow);
+            if let Some(table) = data.dir_table.as_mut() {
+                table.rebuild_node(&data.vectors, &data.graph, v);
             }
         }
     }
+    shard.deleted.grow(shard.len());
 
     // Outgoing inter-shard edge of the new node (incoming edges from the
     // previous shard stay stale — the paper argues a small local change
@@ -687,8 +706,9 @@ pub(crate) fn tombstone(
             if shard.deleted.contains(local) {
                 return (DeleteOutcome::AlreadyDeleted, None);
             }
-            // Copy-on-write: only the hit shard is cloned, and only when a
-            // pinned snapshot still shares it.
+            // Copy-on-write: only the hit shard's shell is cloned (its
+            // tombstones and `I(u)`; the payload stays shared), and only
+            // when a pinned snapshot still shares it.
             Arc::make_mut(shard).deleted.insert(local);
             return (DeleteOutcome::Applied, Some(s));
         }
@@ -751,10 +771,6 @@ pub(crate) fn rebuild_shard(shard: &ShardIndex, config: &PathWeaverConfig, s: us
             .collect();
         pathweaver_graph::FixedDegreeGraph::from_lists(degree, &lists)
     };
-    let mut deleted = pathweaver_util::FixedBitSet::new(keep.len());
-    if survivors.is_empty() {
-        deleted.insert(0);
-    }
     // Remnant shards skip the ghost/direction auxiliaries: both assume a
     // graph large enough to sample from, and a brute-force remnant is exact
     // without them.
@@ -769,16 +785,12 @@ pub(crate) fn rebuild_shard(shard: &ShardIndex, config: &PathWeaverConfig, s: us
     // the same cadence as the graph itself.
     let quantized =
         config.build_quantized.then(|| pathweaver_vector::QuantizedSet::quantize(&vectors));
-    ShardIndex {
-        global_ids,
-        vectors,
-        graph,
-        dir_table,
-        quantized,
-        ghost,
-        intershard: None,
-        deleted,
+    let mut shard =
+        ShardIndex::new(ShardData { global_ids, vectors, graph, dir_table, quantized, ghost });
+    if survivors.is_empty() {
+        shard.deleted.insert(0);
     }
+    shard
 }
 
 /// Swaps a rebuilt shard in at position `s` and repairs everything that
@@ -1055,16 +1067,14 @@ mod tests {
         let lists: Vec<Vec<u32>> =
             (0..n).map(|u| (0..degree).map(|j| ((u + j + 1) % n) as u32).collect()).collect();
         let graph = pathweaver_graph::FixedDegreeGraph::from_lists(degree, &lists);
-        let shard = ShardIndex {
+        let shard = ShardIndex::new(ShardData {
             global_ids: (0..n as u32).collect(),
-            deleted: pathweaver_util::FixedBitSet::new(n),
             vectors,
             graph,
             dir_table: None,
             quantized: None,
             ghost: None,
-            intershard: None,
-        };
+        });
         let ci = ConcurrentIndex::new(PathWeaverIndex {
             config: PathWeaverConfig::test_scale(1),
             shards: vec![Arc::new(shard)],

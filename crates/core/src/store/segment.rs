@@ -34,7 +34,7 @@
 
 use super::{corrupt, StoreError};
 use crate::config::PathWeaverConfig;
-use crate::index::{PathWeaverIndex, ShardIndex};
+use crate::index::{PathWeaverIndex, ShardData, ShardIndex};
 use pathweaver_gpusim::MemoryLedger;
 use pathweaver_graph::{
     BuildReport, DirectionTable, FixedDegreeGraph, GhostShard, InterShardTable,
@@ -627,16 +627,11 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<PathWeaverIndex, StoreErro
             (None, None, None) => None,
             _ => return Err(corrupt(0, format!("shard {s} has a partial ghost shard"))),
         };
-        shards.push(ShardIndex {
-            global_ids,
-            vectors,
-            graph,
-            dir_table,
-            quantized,
-            ghost,
-            intershard,
-            deleted,
-        });
+        let mut shard =
+            ShardIndex::new(ShardData { global_ids, vectors, graph, dir_table, quantized, ghost });
+        shard.intershard = intershard;
+        shard.deleted = deleted;
+        shards.push(shard);
     }
 
     let index = finish_load(&meta, config, shards)?;

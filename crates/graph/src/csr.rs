@@ -122,6 +122,17 @@ impl FixedDegreeGraph {
         self.adjacency[start..start + self.degree].copy_from_slice(row);
     }
 
+    /// Copies the graph with room for `extra` more nodes (bitwise-equal
+    /// rows): the next `extra` [`push_node`](Self::push_node)s append
+    /// without reallocating, so a copy-on-write insert copies the adjacency
+    /// once.
+    pub fn clone_with_room(&self, extra: usize) -> Self {
+        Self {
+            degree: self.degree,
+            adjacency: pathweaver_util::vec_with_room(&self.adjacency, extra * self.degree),
+        }
+    }
+
     /// Appends a new node with the given adjacency row, returning its id.
     ///
     /// The new node may reference any id `<= num_nodes()` (including itself).

@@ -121,6 +121,17 @@ impl DirectionTable {
         }
     }
 
+    /// Copies the table with room for `extra` more nodes' rows
+    /// (bitwise-equal codes): the next `extra` [`push_node`](Self::push_node)s
+    /// append without reallocating, so a copy-on-write insert copies the
+    /// codes once.
+    pub fn clone_with_room(&self, extra: usize) -> Self {
+        Self {
+            codes: pathweaver_util::vec_with_room(&self.codes, extra * self.degree * self.words),
+            ..*self
+        }
+    }
+
     /// Appends codes for a newly added node's adjacency row (dynamic
     /// updates).
     ///

@@ -39,3 +39,13 @@ pub use parallel::{available_threads, parallel_chunks_mut, parallel_for, paralle
 pub use rng::{seed_from_parts, small_rng, SeedStream};
 pub use stats::Summary;
 pub use topk::TopK;
+
+/// Copies `src` into a fresh `Vec` with capacity for `extra` more elements,
+/// so the next `extra` pushes append in place. One copy, where
+/// `src.to_vec()` followed by a push copies twice (a clone is exactly sized,
+/// so the first push reallocates).
+pub fn vec_with_room<T: Clone>(src: &[T], extra: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(src.len() + extra);
+    out.extend_from_slice(src);
+    out
+}

@@ -102,6 +102,22 @@ impl VectorSet {
         Self::from_flat(dim, data)
     }
 
+    /// Copies the set with room for `extra` more rows (same storage mode,
+    /// bitwise-equal rows): the next `extra` [`push`](Self::push)es append
+    /// without reallocating, so a copy-on-write insert copies the rows once.
+    pub fn clone_with_room(&self, extra: usize) -> Self {
+        let storage = match &self.storage {
+            Storage::Compact(data) => {
+                Storage::Compact(pathweaver_util::vec_with_room(data, extra * self.dim))
+            }
+            Storage::Aligned(blocks) => Storage::Aligned(pathweaver_util::vec_with_room(
+                blocks,
+                extra * self.stride / BLOCK_LANES,
+            )),
+        };
+        Self { dim: self.dim, stride: self.stride, len: self.len, storage }
+    }
+
     /// Converts to aligned storage (no-op when already aligned).
     ///
     /// Aligned rows start on 64-byte boundaries and are padded with zeros up

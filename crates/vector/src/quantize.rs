@@ -207,6 +207,18 @@ impl QuantizedSet {
         out
     }
 
+    /// Copies the set with room for `extra` more rows (same grid,
+    /// bitwise-equal codes): the next `extra` [`push`](Self::push)es append
+    /// without reallocating, so a copy-on-write insert copies the codes once.
+    pub fn clone_with_room(&self, extra: usize) -> Self {
+        Self {
+            data: pathweaver_util::vec_with_room(&self.data, extra * self.stride / QBLOCK_LANES),
+            scales: self.scales.clone(),
+            offsets: self.offsets.clone(),
+            ..*self
+        }
+    }
+
     /// Appends one vector, quantized with the **frozen** scales/offsets
     /// (values outside the original training range clamp to ±127).
     ///
